@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import serialize, wradius
 from .errors import (
@@ -71,7 +72,6 @@ def _cmd_verify(args) -> int:
         rho_max=args.rho_max,
         atoms=args.atoms,
         suites=_parse_suites(args.suites),
-        quadrature_nodes=args.nodes,
         report_format=args.format,
     )
     config.validate()
@@ -83,13 +83,16 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(serialize.dumps(report_to_json(report)) + "\n")
         return 0 if report.passed else 1
 
+    wall0, cpu0 = time.perf_counter(), time.process_time()
     result = run_suite(config)
+    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
     for suite in result.suites:
         print(
             f"{suite.suite}: {suite.passed}/{suite.total} passed, "
-            f"max ratio {suite.max_ratio:.6f}, {suite.wall_time:.2f}s",
+            f"max ratio {suite.max_ratio:.6f}, trial time {suite.wall_time:.2f}s",
             file=sys.stderr,
         )
+    print(f"total: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
     if args.out is not None:
         emit_report(result.suites, result.details, config.report_format, args.out, config)
         print(f"report written to {args.out}", file=sys.stderr)
@@ -154,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spectral radius bound for generated operators")
     verify.add_argument("--atoms", type=int, default=8,
                         help="atoms per generated boundary measure")
-    verify.add_argument("--nodes", type=int, default=512, help="quadrature nodes")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--out", default=None, help="report path (default: stdout)")
     verify.add_argument("--replay", default=None, metavar="SUITE:DIM:TRIAL",

@@ -21,7 +21,6 @@ from . import linalg
 from .errors import DimensionMismatch, DomainError, NotUnitary
 
 WEIGHT_SUM_TOL = 1e-14
-UNITARY_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
 
 
@@ -86,7 +85,7 @@ def apply_normal(f: HerglotzFunction, unitary, lambdas) -> np.ndarray:
         raise DimensionMismatch(f"{lam.size} eigenvalues for a {n}x{n} unitary")
     if np.any(np.abs(lam) >= 1.0):
         raise DomainError("spectrum must lie strictly inside the unit disk")
-    if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > UNITARY_TOL:
+    if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > linalg.UNITARY_TOL:
         raise NotUnitary("diagonalizer is not unitary within tolerance")
     fvals = _kernel_sum(f, lam)
     return (u * fvals) @ linalg.adjoint(u)
@@ -140,8 +139,3 @@ def fbar_direct(f: HerglotzFunction, a) -> np.ndarray:
         e = np.exp(-1j * alpha)
         out = out + weight * linalg.solve(e * eye - adj, e * eye + adj)
     return out
-
-
-def fbar_apply(f: HerglotzFunction, fa) -> np.ndarray:
-    """fbar(A) from an already computed f(A), via fbar(A) = (f(A))*."""
-    return linalg.adjoint(linalg.as_matrix(fa))

@@ -20,7 +20,6 @@ BOUNDARY_GUARD = 1e-12
 D_TOL = 1e-14
 RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-10
-UNITARY_TOL = 1e-10
 CERT_THRESHOLD = 1e-6
 TESTPOINT_GUARD = 1e-6
 DEFAULT_RADII = (0.05, 0.1, 0.2)
@@ -44,7 +43,8 @@ class G1Operator:
 
     Generated operators carry their diagonalizing unitary and are validated
     as exactly normal; file-loaded candidates may omit the unitary, in which
-    case a growth-condition certificate <= CERT_THRESHOLD is required.
+    case a growth-condition certificate is required. A certificate, when
+    given, must be <= CERT_THRESHOLD whether or not a unitary is present.
     """
 
     matrix: np.ndarray
@@ -61,9 +61,11 @@ class G1Operator:
             raise ValueError(f"{lam.size} eigenvalues for a {n}x{n} matrix")
         if abs(self.d - boundary_distance(lam)) > D_TOL:
             raise ValueError("d does not match min(1 - |lambda|)")
+        if self.certificate is not None and self.certificate > CERT_THRESHOLD:
+            raise CertificationFailed(f"certificate {self.certificate:.3e} exceeds {CERT_THRESHOLD}")
         if self.unitary is not None:
             u = linalg.as_matrix(self.unitary)
-            if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > UNITARY_TOL:
+            if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > linalg.UNITARY_TOL:
                 raise ValueError("diagonalizer is not unitary within tolerance")
             recon = (u * lam) @ linalg.adjoint(u)
             if np.linalg.norm(recon - matrix) > RECONSTRUCTION_TOL:
@@ -73,12 +75,8 @@ class G1Operator:
             if np.linalg.norm(commutator) > NORMALITY_TOL * np.linalg.norm(matrix) ** 2:
                 raise ValueError("matrix is not normal within tolerance")
             object.__setattr__(self, "unitary", u)
-        else:
-            if self.certificate is None or self.certificate > CERT_THRESHOLD:
-                raise CertificationFailed(
-                    "operators without a diagonalizer need a growth certificate "
-                    f"<= {CERT_THRESHOLD}"
-                )
+        elif self.certificate is None:
+            raise CertificationFailed("operators without a diagonalizer need a growth certificate")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", lam)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcalc, linalg, wradius
-from .errors import CertificationFailed, DimensionMismatch, NotSelfAdjoint
+from .errors import DimensionMismatch, NotSelfAdjoint
 from .funcalc import HerglotzFunction
-from .g1gen import CERT_THRESHOLD, NORMALITY_TOL, G1Operator
+from .g1gen import G1Operator
 
 PASS_REL = 1e-8
 PASS_ABS = 1e-10
@@ -65,12 +65,13 @@ def _norm(m: np.ndarray) -> float:
     return linalg.spectral_norm(m)
 
 
-def _same_dims(*mats) -> int:
+def _same_dims(*mats) -> tuple:
+    """(n, *mats) with every operand coerced to one n x n complex matrix."""
     mats = [linalg.as_matrix(m) for m in mats]
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats[1:]):
         raise DimensionMismatch("operands must share one square size")
-    return n
+    return (n, *mats)
 
 
 def _offdiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -84,27 +85,15 @@ def _sign(sign: str) -> float:
     return 1.0 if sign == "+" else -1.0
 
 
-def _ensure_certified(op: G1Operator) -> None:
-    if op.certificate is not None:
-        if op.certificate <= CERT_THRESHOLD:
-            return
-        raise CertificationFailed(f"certificate {op.certificate:.3e} exceeds threshold")
-    adj = linalg.adjoint(op.matrix)
-    residual = np.linalg.norm(adj @ op.matrix - op.matrix @ adj)
-    if residual > NORMALITY_TOL * np.linalg.norm(op.matrix) ** 2:
-        raise CertificationFailed("operator is neither normal nor certificate-backed")
-
-
-def _f_of(f: HerglotzFunction, op: G1Operator, nodes: int) -> np.ndarray:
+def _f_of(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
     if op.unitary is not None:
         return funcalc.apply_normal(f, op.unitary, op.spectrum)
-    return funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes)
+    return funcalc.riesz_dunford(f, op.matrix, op.spectrum)
 
 
 def check_lemma21_a(a, x, seed: int = 0) -> InequalityReport:
     """w(A* X A) <= ||A||^2 w(X)."""
-    n = _same_dims(a, x)
-    a, x = linalg.as_matrix(a), linalg.as_matrix(x)
+    n, a, x = _same_dims(a, x)
     lhs = _w(linalg.adjoint(a) @ x @ a)
     rhs = _norm(a) ** 2 * _w(x)
     return _report("lemma21a", lhs, rhs, seed, n)
@@ -112,8 +101,7 @@ def check_lemma21_a(a, x, seed: int = 0) -> InequalityReport:
 
 def check_lemma21_b(a, x, sign: str, seed: int = 0) -> InequalityReport:
     """w(A X +/- X A*) <= 2 ||A|| w(X)."""
-    n = _same_dims(a, x)
-    a, x = linalg.as_matrix(a), linalg.as_matrix(x)
+    n, a, x = _same_dims(a, x)
     s = _sign(sign)
     lhs = _w(a @ x + s * (x @ linalg.adjoint(a)))
     rhs = 2.0 * _norm(a) * _w(x)
@@ -122,8 +110,7 @@ def check_lemma21_b(a, x, sign: str, seed: int = 0) -> InequalityReport:
 
 def check_lemma21_c(a, b, x, y, sign: str, seed: int = 0) -> InequalityReport:
     """w(A* X B +/- B* Y A) <= 2 ||A|| ||B|| w([[0, X], [Y, 0]])."""
-    n = _same_dims(a, b, x, y)
-    a, b, x, y = (linalg.as_matrix(m) for m in (a, b, x, y))
+    n, a, b, x, y = _same_dims(a, b, x, y)
     s = _sign(sign)
     lhs = _w(linalg.adjoint(a) @ x @ b + s * (linalg.adjoint(b) @ y @ a))
     rhs = 2.0 * _norm(a) * _norm(b) * _w(_offdiag(x, y))
@@ -132,8 +119,7 @@ def check_lemma21_c(a, b, x, y, sign: str, seed: int = 0) -> InequalityReport:
 
 def check_lemma21_d(a, b, x, y, seed: int = 0) -> InequalityReport:
     """w([[0, A X B*], [B Y A*, 0]]) <= max(||A||^2, ||B||^2) w([[0, X], [Y, 0]])."""
-    n = _same_dims(a, b, x, y)
-    a, b, x, y = (linalg.as_matrix(m) for m in (a, b, x, y))
+    n, a, b, x, y = _same_dims(a, b, x, y)
     lhs = _w(_offdiag(a @ x @ linalg.adjoint(b), b @ y @ linalg.adjoint(a)))
     rhs = max(_norm(a) ** 2, _norm(b) ** 2) * _w(_offdiag(x, y))
     return _report("lemma21d", lhs, rhs, seed, n)
@@ -141,8 +127,7 @@ def check_lemma21_d(a, b, x, y, seed: int = 0) -> InequalityReport:
 
 def check_lemma21_e(x, y, seed: int = 0) -> InequalityReport:
     """w([[0, X], [Y, 0]]) <= (w(X + Y) + w(X - Y)) / 2."""
-    n = _same_dims(x, y)
-    x, y = linalg.as_matrix(x), linalg.as_matrix(y)
+    n, x, y = _same_dims(x, y)
     lhs = _w(_offdiag(x, y))
     rhs = 0.5 * (_w(x + y) + _w(x - y))
     return _report("lemma21e", lhs, rhs, seed, n)
@@ -157,15 +142,12 @@ def check_lemma21_f(x, theta: float, seed: int = 0) -> InequalityReport:
 
 
 def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
-                seed: int = 0, nodes: int = 512) -> InequalityReport:
+                seed: int = 0) -> InequalityReport:
     """w(f(A) X + X fbar(A)) <= (2/d^2) w(X - A X A*), and the difference form
     w(f(A) X - X fbar(A)) <= (4/d^2) ||A|| w(X)."""
-    _ensure_certified(op)
-    n = _same_dims(op.matrix, x)
-    x = linalg.as_matrix(x)
-    a = op.matrix
-    fa = _f_of(f, op, nodes)
-    fbar = funcalc.fbar_apply(f, fa)
+    n, a, x = _same_dims(op.matrix, x)
+    fa = _f_of(f, op)
+    fbar = linalg.adjoint(fa)
     if variant == "sum":
         lhs = _w(fa @ x + x @ fbar)
         rhs = (2.0 / op.d**2) * _w(x - a @ x @ linalg.adjoint(a))
@@ -178,12 +160,11 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
 
 
 def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
-                seed: int = 0, nodes: int = 512) -> InequalityReport:
+                seed: int = 0) -> InequalityReport:
     """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||."""
-    _ensure_certified(op)
     a = op.matrix
     n = a.shape[0]
-    fa = _f_of(f, op, nodes)
+    fa = _f_of(f, op)
     if variant == "re":
         lhs = _norm(linalg.herm_part(fa))
         rhs = (1.0 / op.d**2) * _norm(np.eye(n) - a @ linalg.adjoint(a))
@@ -195,13 +176,10 @@ def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
     return _report(f"cor23:{variant}", lhs, rhs, seed, n)
 
 
-def _two_operator_pieces(f, opa, opb, x, nodes):
-    _ensure_certified(opa)
-    _ensure_certified(opb)
-    n = _same_dims(opa.matrix, opb.matrix, x)
-    x = linalg.as_matrix(x)
-    fa = _f_of(f, opa, nodes)
-    fb = _f_of(f, opb, nodes)
+def _two_operator_pieces(f, opa, opb, x):
+    n, _, _, x = _same_dims(opa.matrix, opb.matrix, x)
+    fa = _f_of(f, opa)
+    fb = _f_of(f, opb)
     return n, x, fa, fb, linalg.adjoint(fa), linalg.adjoint(fb)
 
 
@@ -214,9 +192,9 @@ def _commutator_form(fa, fb, fbar_a, fbar_b, x, variant):
 
 
 def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
-                variant: str, seed: int = 0, nodes: int = 512) -> InequalityReport:
+                variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (2/(dA dB)) [2w(X) + w(AXB* + BXA*) + w(AXB* - BXA*)]."""
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x, nodes)
+    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
     lhs = _w(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
     a, b = opa.matrix, opb.matrix
     axb = a @ x @ linalg.adjoint(b)
@@ -226,13 +204,12 @@ def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
 
 
 def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
-                variant: str, seed: int = 0, nodes: int = 512) -> InequalityReport:
+                variant: str, seed: int = 0) -> InequalityReport:
     """Operator-norm form for self-adjoint X:
     ||f(A) X fbar(B) -/+ ...|| <= (4/(dA dB)) max(||X|| + ||AXB*||, ||X|| + ||BXA*||)."""
-    x = linalg.as_matrix(x)
+    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
     if np.linalg.norm(x - linalg.adjoint(x)) > SELFADJOINT_TOL:
         raise NotSelfAdjoint("X must be self-adjoint within tolerance")
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x, nodes)
     lhs = _norm(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
     a, b = opa.matrix, opb.matrix
     axb = a @ x @ linalg.adjoint(b)
@@ -243,13 +220,11 @@ def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
 
 
 def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: str,
-                seed: int = 0, nodes: int = 512) -> InequalityReport:
+                seed: int = 0) -> InequalityReport:
     """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||)."""
-    _ensure_certified(opa)
-    _ensure_certified(opb)
-    n = _same_dims(opa.matrix, opb.matrix)
-    fa = _f_of(f, opa, nodes)
-    fb = _f_of(f, opb, nodes)
+    n, a, b = _same_dims(opa.matrix, opb.matrix)
+    fa = _f_of(f, opa)
+    fb = _f_of(f, opb)
     product = fa @ linalg.adjoint(fb)
     if variant == "im":
         lhs = _norm(linalg.skew_part(product))
@@ -257,14 +232,14 @@ def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: 
         lhs = _norm(linalg.herm_part(product) + np.eye(n))
     else:
         raise ValueError(f"variant must be 'im' or 're_plus_I', got {variant!r}")
-    rhs = (2.0 / (opa.d * opb.d)) * (1.0 + _norm(opa.matrix @ linalg.adjoint(opb.matrix)))
+    rhs = (2.0 / (opa.d * opb.d)) * (1.0 + _norm(a @ linalg.adjoint(b)))
     return _report(f"cor26:{variant}", lhs, rhs, seed, n)
 
 
 def check_rem27(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
-                variant: str, seed: int = 0, nodes: int = 512) -> InequalityReport:
+                variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (4/(dA dB)) (1 + max(||A||^2, ||B||^2)) w(X)."""
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x, nodes)
+    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
     lhs = _w(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
     norm_max = max(_norm(opa.matrix) ** 2, _norm(opb.matrix) ** 2)
     rhs = (4.0 / (opa.d * opb.d)) * (1.0 + norm_max) * _w(x)

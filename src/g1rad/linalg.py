@@ -14,6 +14,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .errors import DimensionMismatch, NotHermitian, Singular
 
 HERMITIAN_TOL = 1e-10
+UNITARY_TOL = 1e-10
 PIVOT_TOL = 1e-13
 
 

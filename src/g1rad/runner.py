@@ -13,7 +13,8 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,25 +23,59 @@ from .errors import CertificationFailed, ConfigError, IoError, ParseError
 from .g1gen import CERT_THRESHOLD, G1Operator
 from .ineq import InequalityReport
 
-ALL_SUITES = (
-    "lemma21a", "lemma21b", "lemma21c", "lemma21d", "lemma21e", "lemma21f",
-    "thm22", "cor23", "thm24", "rem25", "cor26", "rem27",
-)
 
-_VARIANTS = {
-    "lemma21a": ("",),
-    "lemma21b": ("+", "-"),
-    "lemma21c": ("+", "-"),
-    "lemma21d": ("",),
-    "lemma21e": ("",),
-    "lemma21f": ("",),
-    "thm22": ("sum", "diff"),
-    "cor23": ("re", "im"),
-    "thm24": ("commutator", "anticommutator2X"),
-    "rem25": ("commutator", "anticommutator2X"),
-    "cor26": ("im", "re_plus_I"),
-    "rem27": ("commutator", "anticommutator2X"),
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _sub_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 1 << 62))
+
+
+def _matrices(count: int) -> Callable:
+    """Sampler of `count` Ginibre matrices."""
+    return lambda rng, dim, config: tuple(_ginibre(rng, dim) for _ in range(count))
+
+
+def _operators(count: int, x: str = "") -> Callable:
+    """Sampler of f, then `count` G1 operators, then X when `x` is "ginibre"
+    or "hermitian" (the Hermitian part of a Ginibre matrix)."""
+    def sample(rng, dim, config) -> tuple:
+        f = funcalc.random_herglotz(_sub_seed(rng), config.atoms)
+        ops = tuple(g1gen.random_g1(_sub_seed(rng), dim, config.rho_max) for _ in range(count))
+        if not x:
+            return (f, *ops)
+        m = _ginibre(rng, dim)
+        return (f, *ops, linalg.herm_part(m) if x == "hermitian" else m)
+    return sample
+
+
+class Suite(NamedTuple):
+    """A catalog statement: its ``ineq`` checker's name, variants and input sampler."""
+
+    checker: str
+    variants: tuple
+    sample: Callable
+
+
+_COMMUTATORS = ("commutator", "anticommutator2X")
+# A sampler's draw order fixes its trials' inputs; reordering changes every report.
+SUITES = {
+    "lemma21a": Suite("check_lemma21_a", ("",), _matrices(2)),
+    "lemma21b": Suite("check_lemma21_b", ("+", "-"), _matrices(2)),
+    "lemma21c": Suite("check_lemma21_c", ("+", "-"), _matrices(4)),
+    "lemma21d": Suite("check_lemma21_d", ("",), _matrices(4)),
+    "lemma21e": Suite("check_lemma21_e", ("",), _matrices(2)),
+    "lemma21f": Suite("check_lemma21_f", ("",), lambda rng, dim, config: (
+        _ginibre(rng, dim), float(rng.uniform(0.0, 2.0 * np.pi)))),
+    "thm22": Suite("check_thm22", ("sum", "diff"), _operators(1, "ginibre")),
+    "cor23": Suite("check_cor23", ("re", "im"), _operators(1)),
+    "thm24": Suite("check_thm24", _COMMUTATORS, _operators(2, "ginibre")),
+    "rem25": Suite("check_rem25", _COMMUTATORS, _operators(2, "hermitian")),
+    "cor26": Suite("check_cor26", ("im", "re_plus_I"), _operators(2)),
+    "rem27": Suite("check_rem27", _COMMUTATORS, _operators(2, "ginibre")),
 }
+ALL_SUITES = tuple(SUITES)
 
 
 @dataclass(frozen=True)
@@ -53,7 +88,6 @@ class TrialConfig:
     rho_max: float = 0.8
     atoms: int = 8
     suites: tuple = ALL_SUITES
-    quadrature_nodes: int = 512
     report_format: str = "json"
 
     def validate(self) -> None:
@@ -70,8 +104,6 @@ class TrialConfig:
             raise ConfigError("rho_max must lie in (0, 1)")
         if self.atoms < 1:
             raise ConfigError("atoms must be at least 1")
-        if self.quadrature_nodes < 32:
-            raise ConfigError("quadrature_nodes must be at least 32")
         if self.report_format not in ("json", "csv"):
             raise ConfigError("report_format must be 'json' or 'csv'")
 
@@ -83,7 +115,6 @@ class TrialConfig:
             "rho_max": float(self.rho_max),
             "atoms": int(self.atoms),
             "suites": list(self.suites),
-            "quadrature_nodes": int(self.quadrature_nodes),
             "report_format": self.report_format,
         }
 
@@ -101,8 +132,8 @@ class SuiteReport:
     wall_time: float
 
     def to_json(self) -> dict:
-        # wall_time is console-only: emitted reports must be byte-identical
-        # across runs.
+        # wall_time (the suite's summed per-trial time) is console-only:
+        # emitted reports must be byte-identical across runs.
         return {
             "suite": self.suite,
             "total": self.total,
@@ -125,59 +156,21 @@ def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def _sub_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 1 << 62))
-
-
 def run_trial(config: TrialConfig, suite: str, dim: int, trial: int) -> InequalityReport:
     """Draw the trial's inputs from its derived seed and run the checker.
 
-    Multi-variant suites rotate their variants with the trial index.
+    Multi-variant suites rotate their variants with the trial index ("" is
+    no variant argument). The checker is looked up on ``ineq`` at call time.
     """
-    if suite not in ALL_SUITES:
+    if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
+    row = SUITES[suite]
     seed = trial_seed(config.master_seed, suite, dim, trial)
-    rng = np.random.default_rng(seed)
-    variants = _VARIANTS[suite]
-    variant = variants[trial % len(variants)]
-
-    if suite == "lemma21a":
-        return ineq.check_lemma21_a(_ginibre(rng, dim), _ginibre(rng, dim), seed=seed)
-    if suite == "lemma21b":
-        return ineq.check_lemma21_b(_ginibre(rng, dim), _ginibre(rng, dim), variant, seed=seed)
-    if suite == "lemma21c":
-        a, b, x, y = (_ginibre(rng, dim) for _ in range(4))
-        return ineq.check_lemma21_c(a, b, x, y, variant, seed=seed)
-    if suite == "lemma21d":
-        a, b, x, y = (_ginibre(rng, dim) for _ in range(4))
-        return ineq.check_lemma21_d(a, b, x, y, seed=seed)
-    if suite == "lemma21e":
-        return ineq.check_lemma21_e(_ginibre(rng, dim), _ginibre(rng, dim), seed=seed)
-    if suite == "lemma21f":
-        x = _ginibre(rng, dim)
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        return ineq.check_lemma21_f(x, theta, seed=seed)
-
-    f = funcalc.random_herglotz(_sub_seed(rng), config.atoms)
-    opa = g1gen.random_g1(_sub_seed(rng), dim, config.rho_max)
-    nodes = config.quadrature_nodes
-    if suite == "thm22":
-        return ineq.check_thm22(f, opa, _ginibre(rng, dim), variant, seed=seed, nodes=nodes)
-    if suite == "cor23":
-        return ineq.check_cor23(f, opa, variant, seed=seed, nodes=nodes)
-    opb = g1gen.random_g1(_sub_seed(rng), dim, config.rho_max)
-    if suite == "thm24":
-        return ineq.check_thm24(f, opa, opb, _ginibre(rng, dim), variant, seed=seed, nodes=nodes)
-    if suite == "rem25":
-        x = linalg.herm_part(_ginibre(rng, dim))
-        return ineq.check_rem25(f, opa, opb, x, variant, seed=seed, nodes=nodes)
-    if suite == "cor26":
-        return ineq.check_cor26(f, opa, opb, variant, seed=seed, nodes=nodes)
-    return ineq.check_rem27(f, opa, opb, _ginibre(rng, dim), variant, seed=seed, nodes=nodes)
+    inputs = row.sample(np.random.default_rng(seed), dim, config)
+    variant = row.variants[trial % len(row.variants)]
+    if variant:
+        inputs += (variant,)
+    return getattr(ineq, row.checker)(*inputs, seed=seed)
 
 
 def worker_count() -> int:
@@ -190,6 +183,8 @@ def worker_count() -> int:
         if value < 1:
             raise ConfigError("WRAD_THREADS must be at least 1")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -227,17 +222,13 @@ def run_suite(config: TrialConfig) -> RunResult:
     suites = []
     for suite in config.suites:
         reports = by_suite[suite]
-        max_ratio = 0.0
-        argmax = reports[0]
-        for report in reports:
-            if np.isfinite(report.ratio) and report.ratio > max_ratio:
-                max_ratio = report.ratio
-                argmax = report
+        # an infinite ratio (rhs == 0 < lhs) is the worst case, not skipped
+        argmax = max(reports, key=lambda r: r.ratio)
         suites.append(SuiteReport(
             suite=suite,
             total=len(reports),
             passed=sum(1 for r in reports if r.passed),
-            max_ratio=max_ratio,
+            max_ratio=argmax.ratio,
             argmax_seed=argmax.seed,
             argmax_dim=argmax.dim,
             wall_time=elapsed[suite],

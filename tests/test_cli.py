@@ -25,6 +25,19 @@ def test_verify_tiny_run_passes(capsys):
     assert "RESULT: PASS" in err
 
 
+def test_verify_labels_trial_time_and_prints_wall_and_cpu(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--suites", "lemma21a,lemma21e", "--dims", "2",
+        "--trials", "2", "--format", "csv")
+    assert code == 0
+    suite_lines = [line for line in err.splitlines() if line.startswith("lemma21")]
+    assert len(suite_lines) == 2
+    assert all(", trial time " in line for line in suite_lines)
+    totals = [line for line in err.splitlines() if line.startswith("total: ")]
+    assert len(totals) == 1
+    assert totals[0].startswith("total: wall ") and ", cpu " in totals[0]
+
+
 def test_verify_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

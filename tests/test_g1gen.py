@@ -140,6 +140,13 @@ def test_operator_validation_rejects_non_normal_without_certificate():
                          unitary=None, d=0.5)
 
 
+def test_operator_rejects_failed_certificate_even_with_unitary():
+    op = g1gen.random_g1(seed=129, n=3, rho_max=0.8)
+    with pytest.raises(CertificationFailed):
+        g1gen.G1Operator(matrix=op.matrix, spectrum=op.spectrum,
+                         unitary=op.unitary, d=op.d, certificate=1.0)
+
+
 def test_operator_accepts_certificate_backed_candidate():
     a = np.diag([0.5, -0.3]).astype(complex)
     cert = g1gen.certify_core(a, [0.5, -0.3])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g1rad import funcalc, g1gen, ineq, linalg
-from g1rad.errors import CertificationFailed, DimensionMismatch, NotSelfAdjoint
+from g1rad.errors import DimensionMismatch, NotSelfAdjoint
 from g1rad.funcalc import HerglotzFunction
 
 ATOM_AT_ZERO = HerglotzFunction(np.array([0.0]), np.array([1.0]))
@@ -440,11 +440,3 @@ def test_report_ratio_sentinels():
     assert math.isinf(degenerate.ratio) and not degenerate.passed
     tiny = ineq._report("x", 5e-11, 0.0, 0, 1)
     assert tiny.passed
-
-
-def test_certification_gate_on_doctored_operator():
-    op = g1gen.random_g1(129, 3, 0.8)
-    object.__setattr__(op, "certificate", 1.0)
-    f = funcalc.random_herglotz(130, 4)
-    with pytest.raises(CertificationFailed):
-        ineq.check_cor23(f, op, "re")

@@ -24,6 +24,10 @@ def test_adjoint_transposes_real_matrix():
     assert_allclose(linalg.adjoint(a), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def test_adjoint_fixes_real_scalar():
+    assert_allclose(linalg.adjoint(np.array([[3.0]], dtype=complex)), [[3.0]])
+
+
 def test_adjoint_conjugates_scalar():
     assert_allclose(linalg.adjoint(np.array([[1j]])), np.array([[-1j]]))
 

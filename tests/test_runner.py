@@ -1,11 +1,12 @@
 """Tests for the batch driver, report emission, and operator loading."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from g1rad import g1gen, runner, serialize
+from g1rad import g1gen, ineq, runner, serialize
 from g1rad.errors import CertificationFailed, ConfigError, IoError, ParseError, SpectrumOnBoundary
 
 TINY = runner.TrialConfig(master_seed=7, dims=(2,), trials_per_suite=1, suites=("thm22",))
@@ -135,6 +136,80 @@ def test_suite_report_hides_wall_time():
     result = runner.run_suite(TINY)
     assert "wall_time" not in result.suites[0].to_json()
     assert result.suites[0].wall_time >= 0.0
+
+
+# (name, passed, lhs, rhs) of trials 0 and 1 at seed 42, dim 3, for every suite in
+# catalog order. A change in any sampler's draw order moves these values.
+GOLDEN_DIM3 = [
+    ("lemma21a", True, 19.047440719456567, 32.48427210612017),
+    ("lemma21a", True, 48.77323180330873, 79.0464693421086),
+    ("lemma21b:+", True, 8.743598728895536, 17.582053378322776),
+    ("lemma21b:-", True, 6.583073832279329, 13.39460415970214),
+    ("lemma21c:+", True, 13.604325297686222, 54.62504404825038),
+    ("lemma21c:-", True, 37.62949054344524, 113.527975215344),
+    ("lemma21d", True, 26.062080142744342, 64.46532899570147),
+    ("lemma21d", True, 29.155746649237333, 51.163837100870616),
+    ("lemma21e", True, 2.9282829618162083, 4.4858207287016505),
+    ("lemma21e", True, 3.0335617007556577, 4.429814586375118),
+    ("lemma21f", True, 3.070082566637629, 3.0700825666376277),
+    ("lemma21f", True, 3.9531296300225964, 3.9531296300225973),
+    ("thm22:sum", True, 4.346948071708306, 65.02013327791981),
+    ("thm22:diff", True, 4.154730261340076, 289.97780509335223),
+    ("cor23:re", True, 1.4294186999351857, 8.838762483882148),
+    ("cor23:im", True, 0.6384592143536154, 27.300523314054903),
+    ("thm24:commutator", True, 6.350166422955826, 212.29514250383644),
+    ("thm24:anticommutator2X", True, 8.910227119979183, 184.43013467528627),
+    ("rem25:commutator", True, 2.543388201327338, 144.1830449411301),
+    ("rem25:anticommutator2X", True, 7.328139952301894, 349.3142002682494),
+    ("cor26:im", True, 0.48997083580378065, 23.521961058705116),
+    ("cor26:re_plus_I", True, 2.1253145405833154, 25.74951270850123),
+    ("rem27:commutator", True, 1.3578537806977478, 205.32106364026313),
+    ("rem27:anticommutator2X", True, 7.136541002789556, 113.43803629312357),
+]
+
+
+def test_golden_trials_pin_the_draw_order():
+    cfg = runner.TrialConfig(master_seed=42)
+    got = [runner.run_trial(cfg, suite, 3, trial)
+           for suite in runner.ALL_SUITES for trial in (0, 1)]
+    assert len(got) == len(GOLDEN_DIM3)
+    for report, (name, passed, lhs, rhs) in zip(got, GOLDEN_DIM3):
+        assert (report.name, report.passed) == (name, passed)
+        assert report.lhs == pytest.approx(lhs, rel=1e-9)
+        assert report.rhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_every_variant_reaches_its_checker():
+    cfg = runner.TrialConfig(master_seed=3)
+    assert runner.ALL_SUITES == tuple(runner.SUITES)
+    for suite, row in runner.SUITES.items():
+        names = {runner.run_trial(cfg, suite, 2, t).name for t in range(len(row.variants))}
+        assert names == {f"{suite}:{v}" if v else suite for v in row.variants}
+
+
+def test_worst_case_names_an_infinite_ratio(monkeypatch):
+    cfg = runner.TrialConfig(master_seed=5, dims=(2, 3), trials_per_suite=3,
+                             suites=("lemma21a",))
+    bad_seed = runner.trial_seed(5, "lemma21a", 3, 1)
+    honest = ineq.check_lemma21_a
+
+    def check(a, x, seed=0):
+        if seed == bad_seed:  # rhs == 0 < lhs
+            return ineq._report("lemma21a", 1.0, 0.0, seed, a.shape[0])
+        return honest(a, x, seed=seed)
+
+    monkeypatch.setattr(ineq, "check_lemma21_a", check)
+    suite = runner.run_suite(cfg).suites[0]
+    assert suite.passed == suite.total - 1
+    assert math.isinf(suite.max_ratio)
+    assert (suite.argmax_seed, suite.argmax_dim) == (bad_seed, 3)
+
+
+def test_worker_count_follows_affinity(monkeypatch):
+    monkeypatch.delenv("WRAD_THREADS", raising=False)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+    assert runner.worker_count() == 3
 
 
 # ------------------------------------------------------------ load_operator
