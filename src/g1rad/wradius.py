@@ -2,13 +2,20 @@
 
 The computation uses the support-function identity
 
-    w(A) = max_theta lambda_max( (e^{i theta} A + e^{-i theta} A*) / 2 ),
+    w(A) = max_theta lambda_max(H(theta)),  H(theta) = (e^{i theta} A + e^{-i theta} A*) / 2.
 
-sampling theta on a uniform grid and refining every surviving grid-local
-maximum by golden-section search. The returned value is achieved by the
-reported witness vector, so it is always a certified lower bound; after
-refinement the residual gap to the true supremum is bounded by
-||A|| * (pi / grid_points)^2.
+Since H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta),
+so one Hermitian eigensolve per angle in [0, pi) samples lambda_max on the
+whole uniform grid of grid_points angles (which must be even). Stacked
+eigensolves run in chunks of at most GRID_BYTES of matrices. Every surviving
+grid-local maximum is polished by a safeguarded Newton iteration on
+lambda_max(theta) inside the two grid cells around it: lambda' = v* H' v
+(Hellmann-Feynman), lambda'' from the same eigendecomposition, the bracket
+shrinks by the sign of lambda', and a Newton step that would not stay
+inside the bracket or does not come from a concave model is replaced by
+bisection. The returned value is the largest eigenvalue met along the way,
+and the witness is its eigenvector, so the value is always achieved: a
+certified lower bound on w(A).
 """
 
 from __future__ import annotations
@@ -21,7 +28,12 @@ from . import linalg
 
 REFINE_TOL = 1e-10
 TIE_TOL = 1e-12
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Bytes of stacked matrices per eigensolve, grid and refinement alike;
+# bounds the memory of a call for large n.
+GRID_BYTES = 64 << 20
+# Bisection alone shrinks any two-cell bracket (grid_points >= 8) below
+# REFINE_TOL in 35 steps; the cap stops Newton steps that shrink it less.
+_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -34,16 +46,62 @@ class RadiusResult:
     grid_points: int
 
 
+def _pencil(re, im, thetas: np.ndarray) -> np.ndarray:
+    """The stack H(theta) = cos(theta) Re A - sin(theta) Im A over thetas."""
+    return np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
+
+
+def _refine(re, im, centers: np.ndarray, half_width: float, fro: float):
+    """Safeguarded Newton ascent of lambda_max from each center.
+
+    Returns each candidate's best (value, theta, eigenvector) over its
+    iterates; the first iterate is the center itself.
+    """
+    best_val = np.full(len(centers), -np.inf)
+    best_th = centers.copy()
+    best_vec = np.empty((len(centers), re.shape[0]), dtype=np.complex128)
+    live = np.arange(len(centers))
+    th, lo, hi = centers, centers - half_width, centers + half_width
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            break
+        evals, vecs = np.linalg.eigh(_pencil(re, im, th))
+        lam, v = evals[:, -1], vecs[:, :, -1]
+        better = lam > best_val[live]
+        best_val[live[better]] = lam[better]
+        best_th[live[better]] = th[better]
+        best_vec[live[better]] = v[better]
+
+        # g_k = v_k* H'(theta) v with H' = -sin(theta) Re A - cos(theta) Im A.
+        dv = -(np.sin(th)[:, None] * (v @ re.T) + np.cos(th)[:, None] * (v @ im.T))
+        g = np.einsum("kij,ki->kj", vecs.conj(), dv)
+        d1 = g[:, -1].real
+        gaps = lam[:, None] - evals[:, :-1]
+        coupling = np.divide(np.abs(g[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps),
+                             where=gaps > TIE_TOL * fro)
+        d2 = 2.0 * coupling.sum(axis=1) - lam
+
+        lo = np.where(d1 > 0, th, lo)
+        hi = np.where(d1 < 0, th, hi)
+        newton = th - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0)
+        inside = (d2 < 0) & (newton > lo) & (newton < hi)
+        nxt = np.where(inside, newton, 0.5 * (lo + hi))
+        moving = ((np.abs(nxt - th) > REFINE_TOL) & (hi - lo > REFINE_TOL)
+                  & (np.abs(d1) > TIE_TOL * fro))
+        live, th, lo, hi = live[moving], nxt[moving], lo[moving], hi[moving]
+    return best_val, best_th, best_vec
+
+
 def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
-    """Compute w(A) on a theta grid with golden-section refinement.
+    """Compute w(A) on a half-turn theta grid with safeguarded Newton refinement.
 
     Grid-local maxima that cannot beat the incumbent (by the Lipschitz
     bound ||A||_F per radian) are pruned before refinement; all ties
     within TIE_TOL are refined and the smallest maximizing angle wins.
     """
     a = linalg.as_matrix(a)
-    if grid_points < 8:
-        raise ValueError("grid_points must be at least 8")
+    if grid_points < 8 or grid_points % 2:
+        raise ValueError("grid_points must be even and at least 8")
     n = a.shape[0]
     fro = float(np.linalg.norm(a))
     if fro == 0.0:
@@ -51,89 +109,27 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
         witness[0] = 1.0
         return RadiusResult(0.0, 0.0, witness, grid_points)
 
-    adj = linalg.adjoint(a)
-
-    def top_eig(thetas: np.ndarray) -> np.ndarray:
-        phase = np.exp(1j * thetas)[:, None, None]
-        stack = 0.5 * (phase * a + np.conj(phase) * adj)
-        return np.linalg.eigvalsh(stack)[:, -1]
-
+    re, im = linalg.herm_part(a), linalg.skew_part(a)
+    rows = max(1, GRID_BYTES // a.nbytes)
     step = 2.0 * np.pi / grid_points
-    thetas = step * np.arange(grid_points)
-    grid_vals = top_eig(thetas)
+    half = grid_points // 2
+    top, bottom = np.empty(half), np.empty(half)
+    for start in range(0, half, rows):
+        chunk = slice(start, min(start + rows, half))
+        evals = np.linalg.eigvalsh(_pencil(re, im, step * np.arange(chunk.start, chunk.stop)))
+        top[chunk], bottom[chunk] = evals[:, -1], evals[:, 0]
+    grid_vals = np.concatenate((top, -bottom))
     grid_best = float(grid_vals.max())
 
     local_max = (grid_vals >= np.roll(grid_vals, 1)) & (grid_vals >= np.roll(grid_vals, -1))
     viable = grid_vals >= grid_best - max(fro * step, TIE_TOL)
-    idx = np.nonzero(local_max & viable)[0]
+    centers = step * np.nonzero(local_max & viable)[0]
+    parts = [_refine(re, im, centers[s:s + rows], step, fro)
+             for s in range(0, len(centers), rows)]
+    vals, thetas, vecs = (np.concatenate(p) for p in zip(*parts))
 
-    # Golden-section refinement over the two cells flanking each candidate,
-    # batched so each iteration costs one stacked eigensolve.
-    centers = thetas[idx]
-    lo = centers - step
-    hi = centers + step
-    best_val = grid_vals[idx].copy()
-    best_th = centers.copy()
-
-    def absorb(vals, points):
-        nonlocal best_val, best_th
-        better = vals > best_val
-        best_val = np.where(better, vals, best_val)
-        best_th = np.where(better, points, best_th)
-
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = top_eig(c)
-    fd = top_eig(d)
-    absorb(fc, c)
-    absorb(fd, d)
-    iters = int(np.ceil(np.log(REFINE_TOL / (2.0 * step)) / np.log(_INVPHI)))
-    for _ in range(max(iters, 0)):
-        left = fc >= fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        span = hi - lo
-        probe = np.where(left, hi - _INVPHI * span, lo + _INVPHI * span)
-        fp = top_eig(probe)
-        c, d, fc, fd = (
-            np.where(left, probe, d),
-            np.where(left, c, probe),
-            np.where(left, fp, fd),
-            np.where(left, fc, fp),
-        )
-        absorb(fp, probe)
-
-    top = float(best_val.max())
-    wrapped = np.mod(best_th, 2.0 * np.pi)
+    wrapped = np.mod(thetas, 2.0 * np.pi)
     wrapped = np.where(wrapped >= 2.0 * np.pi, 0.0, wrapped)
-    tied = best_val >= top - TIE_TOL
+    tied = vals >= vals.max() - TIE_TOL
     pick = int(np.argmin(np.where(tied, wrapped, np.inf)))
-    theta_star = float(wrapped[pick])
-
-    phase = np.exp(1j * theta_star)
-    evals, evecs = np.linalg.eigh(0.5 * (phase * a + np.conj(phase) * adj))
-    value = max(top, float(evals[-1]))
-    return RadiusResult(value, theta_star, evecs[:, -1].copy(), grid_points)
-
-
-def numradius_lower_bound(a, samples: int, seed: int) -> float:
-    """Monte-Carlo lower bound: max |<Ax, x>| over seeded random unit vectors.
-
-    Never exceeds w(A); serves as the independent oracle for
-    numerical_radius.
-    """
-    a = linalg.as_matrix(a)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, 1 << 16)
-        x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        vals = np.abs(np.einsum("ij,jk,ik->i", np.conj(x), a, x))
-        best = max(best, float(vals.max()))
-        remaining -= m
-    return best
+    return RadiusResult(float(vals[pick]), float(wrapped[pick]), vecs[pick].copy(), grid_points)

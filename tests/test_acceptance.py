@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import CertificationFailed, NotSelfAdjoint
 
@@ -200,7 +201,7 @@ def test_criterion_6_numerical_radius_engine():
         norm = linalg.spectral_norm(a)
         if not (0.5 * norm - 1e-9 <= value <= norm + 1e-9):
             sandwich_ok = False
-        if wradius.numradius_lower_bound(a, 100_000, seed=trial) > value + 1e-8:
+        if oracles.numradius_lower_bound(a, 100_000, seed=trial) > value + 1e-8:
             mc_ok = False
     ok = shift_ok and normal_ok and sandwich_ok and mc_ok
     announce(6, ok,

@@ -1,10 +1,13 @@
-"""Tests for the numerical radius engine and its Monte-Carlo oracle."""
+"""Tests for the numerical radius engine against the oracles in tests/oracles.py."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from g1rad import g1gen, linalg, wradius
 
 SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -41,25 +44,31 @@ def test_grid_points_validation():
         wradius.numerical_radius(SHIFT, grid_points=4)
 
 
+def test_odd_grid_points_rejected():
+    # the half-turn grid needs theta + pi on the grid for every grid theta
+    with pytest.raises(ValueError):
+        wradius.numerical_radius(SHIFT, grid_points=721)
+
+
 def test_engine_beats_monte_carlo_search():
     rng = np.random.default_rng(11)
     a = random_complex(rng, 4)
     value = wradius.numerical_radius(a).value
-    assert value >= wradius.numradius_lower_bound(a, 100_000, seed=99) - 1e-8
+    assert value >= oracles.numradius_lower_bound(a, 100_000, seed=99) - 1e-8
 
 
 def test_lower_bound_identity_exact():
-    assert wradius.numradius_lower_bound(np.eye(3, dtype=complex), 100, seed=0) == pytest.approx(
+    assert oracles.numradius_lower_bound(np.eye(3, dtype=complex), 100, seed=0) == pytest.approx(
         1.0, abs=1e-12)
 
 
 def test_lower_bound_zero_matrix():
-    assert wradius.numradius_lower_bound(np.zeros((2, 2), dtype=complex), 10, seed=0) == 0.0
+    assert oracles.numradius_lower_bound(np.zeros((2, 2), dtype=complex), 10, seed=0) == 0.0
 
 
 def test_lower_bound_validation():
     with pytest.raises(ValueError):
-        wradius.numradius_lower_bound(SHIFT, 0, seed=0)
+        oracles.numradius_lower_bound(SHIFT, 0, seed=0)
 
 
 def test_lower_bound_converges_on_flat_instance():
@@ -68,7 +77,7 @@ def test_lower_bound_converges_on_flat_instance():
     rng = np.random.default_rng(21)
     a = np.eye(3, dtype=complex) + 0.05 * random_complex(rng, 3)
     value = wradius.numerical_radius(a).value
-    bound = wradius.numradius_lower_bound(a, 100_000, seed=7)
+    bound = oracles.numradius_lower_bound(a, 100_000, seed=7)
     assert bound <= value + 1e-8
     assert value - bound <= 1e-3
 
@@ -141,3 +150,108 @@ def test_unitary_similarity_invariance():
         u = g1gen.haar_unitary(rng, 5)
         conj = u.conj().T @ a @ u
         assert wradius.numerical_radius(conj).value == pytest.approx(base, rel=1e-9)
+
+
+def degenerate_family(kind):
+    """A matrix whose support function is flat, tied or otherwise degenerate."""
+    rng = np.random.default_rng(31)
+    x, y = random_complex(rng, 3), random_complex(rng, 3)
+    zero = np.zeros((3, 3), dtype=complex)
+    if kind == "nilpotent":
+        return linalg.block2x2(zero, x, zero, zero)
+    if kind == "antidiagonal":
+        return linalg.block2x2(zero, x, y, zero)
+    if kind == "identity":
+        return np.eye(4, dtype=complex)
+    if kind == "hermitian":
+        return linalg.herm_part(random_complex(rng, 4))
+    if kind == "tied_normal":
+        u = g1gen.haar_unitary(rng, 4)
+        return (u * np.array([2.0, 2.0j, -1.0 + 0.5j, 0.3])) @ u.conj().T
+    u, v = random_complex(rng, 4)[:2]
+    return np.outer(u, v.conj())
+
+
+DEGENERATE = ("nilpotent", "antidiagonal", "identity", "hermitian", "tied_normal", "rank_one")
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_degenerate_families_match_dense_oracle(kind):
+    a = degenerate_family(kind)
+    value = wradius.numerical_radius(a).value
+    assert value == pytest.approx(oracles.numradius_dense(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+def test_degenerate_families_witness_achieves_value(kind):
+    a = degenerate_family(kind)
+    result = wradius.numerical_radius(a)
+    assert np.linalg.norm(result.witness) == pytest.approx(1.0, abs=1e-12)
+    achieved = abs(np.conj(result.witness) @ (a @ result.witness))
+    assert achieved == pytest.approx(result.value, rel=1e-12)
+    assert 0.0 <= result.theta_star < 2.0 * np.pi
+
+
+def test_degenerate_families_closed_forms():
+    # W(N) is a disk of radius ||X|| / 2; W(uv*) an ellipse with foci 0 and v*u
+    nilpotent = degenerate_family("nilpotent")
+    assert wradius.numerical_radius(nilpotent).value == pytest.approx(
+        0.5 * linalg.spectral_norm(nilpotent), rel=1e-12)
+    u, v = random_complex(np.random.default_rng(32), 4)[:2]
+    expected = 0.5 * (abs(np.vdot(v, u)) + np.linalg.norm(u) * np.linalg.norm(v))
+    assert wradius.numerical_radius(np.outer(u, v.conj())).value == pytest.approx(
+        expected, rel=1e-12)
+    assert wradius.numerical_radius(degenerate_family("tied_normal")).value == pytest.approx(
+        2.0, rel=1e-12)
+
+
+def test_eigensolves_per_call(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(h, *args, _name=name, _solver=solver, **kwargs):
+            calls.append(_name)
+            return _solver(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(17)
+    for n in range(2, 17):
+        for _ in range(8):
+            calls.clear()
+            wradius.numerical_radius(random_complex(rng, n))
+            # one grid eigvalsh first, then one stacked eigh per Newton step
+            assert calls[0] == "eigvalsh"
+            assert set(calls[1:]) == {"eigh"}
+            assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_chunked_grid_is_bitwise_identical(monkeypatch, rows):
+    rng = np.random.default_rng(41)
+    inputs = [random_complex(rng, 5), degenerate_family("nilpotent")]
+    expected = [wradius.numerical_radius(a) for a in inputs]
+    for a, want in zip(inputs, expected):
+        monkeypatch.setattr(wradius, "GRID_BYTES", rows * a.nbytes)
+        got = wradius.numerical_radius(a)
+        assert got.value == want.value
+        assert got.theta_star == want.theta_star
+        assert np.array_equal(got.witness, want.witness)
+
+
+def test_memory_stays_within_budget(monkeypatch):
+    # a random input has a few refinement candidates; the flat nilpotent block
+    # has hundreds, so the candidate stacks are chunked too
+    rng = np.random.default_rng(43)
+    zero = np.zeros((32, 32), dtype=complex)
+    for a in (random_complex(rng, 64), linalg.block2x2(zero, random_complex(rng, 32), zero, zero)):
+        budget = 4 * a.nbytes
+        monkeypatch.setattr(wradius, "GRID_BYTES", budget)
+        tracemalloc.start()
+        try:
+            wradius.numerical_radius(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # unchunked, the 360-matrix half grid alone would take 90 budgets
+        assert peak <= 8 * budget
