@@ -89,7 +89,7 @@ def _cmd_verify(args) -> int:
     for suite in result.suites:
         print(
             f"{suite.suite}: {suite.passed}/{suite.total} passed, "
-            f"max ratio {suite.max_ratio:.6f}, trial time {suite.wall_time:.2f}s",
+            f"max ratio {suite.max_ratio:.6f}, trial time {suite.trial_time:.2f}s",
             file=sys.stderr,
         )
     print(f"total: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)

@@ -129,10 +129,10 @@ class SuiteReport:
     max_ratio: float
     argmax_seed: int
     argmax_dim: int
-    wall_time: float
+    trial_time: float
 
     def to_json(self) -> dict:
-        # wall_time (the suite's summed per-trial time) is console-only:
+        # trial_time (the suite's summed per-trial time) is console-only:
         # emitted reports must be byte-identical across runs.
         return {
             "suite": self.suite,
@@ -231,7 +231,7 @@ def run_suite(config: TrialConfig) -> RunResult:
             max_ratio=argmax.ratio,
             argmax_seed=argmax.seed,
             argmax_dim=argmax.dim,
-            wall_time=elapsed[suite],
+            trial_time=elapsed[suite],
         ))
     return RunResult(suites=suites, details=details)
 

@@ -205,25 +205,134 @@ def test_degenerate_families_closed_forms():
         2.0, rel=1e-12)
 
 
-def test_eigensolves_per_call(monkeypatch):
+def count_eigensolves(monkeypatch):
+    """Record (solver name, number of stacked matrices) of every eigensolve."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def counted(h, *args, _name=name, _solver=solver, **kwargs):
-            calls.append(_name)
+            calls.append((_name, len(h)))
             return _solver(h, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_eigensolves_per_call(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
     rng = np.random.default_rng(17)
     for n in range(2, 17):
         for _ in range(8):
             calls.clear()
             wradius.numerical_radius(random_complex(rng, n))
-            # one grid eigvalsh first, then one stacked eigh per Newton step
-            assert calls[0] == "eigvalsh"
-            assert set(calls[1:]) == {"eigh"}
+            names = [name for name, _ in calls]
+            # the coarse eigvalsh first, at most one fill eigvalsh right after
+            # it, then one stacked eigh per Newton step
+            assert names[0] == "eigvalsh"
+            rest = names[2:] if names[1:2] == ["eigvalsh"] else names[1:]
+            assert set(rest) == {"eigh"}
             assert len(calls) <= 6
+            # the full half-turn grid alone is 360 matrices
+            assert sum(size for _, size in calls) <= 128
+
+
+def full_grid(a, grid_points):
+    """lambda_max at every grid angle, from one unpruned half-turn eigvalsh."""
+    re, im = linalg.herm_part(a), linalg.skew_part(a)
+    half = grid_points // 2
+    evals = np.linalg.eigvalsh(wradius._pencil(re, im, 2.0 * np.pi / grid_points * np.arange(half)))
+    return np.concatenate((evals[:, -1], -evals[:, 0]))
+
+
+def bound_inputs():
+    rng = np.random.default_rng(51)
+    yield from (random_complex(rng, n) for n in range(2, 17))
+    yield from (degenerate_family(kind) for kind in DEGENERATE)
+
+
+@pytest.mark.parametrize("cells", [8, 72, 144])
+def test_cell_bound_is_sound(cells):
+    # lambda_max anywhere in a cell stays below the apex bound of its two ends
+    width = 2.0 * np.pi / cells
+    inside = np.linspace(0.0, width, 64)
+    for a in bound_inputs():
+        re, im = linalg.herm_part(a), linalg.skew_part(a)
+        slack = wradius._SLACK * np.linalg.norm(a)
+        coarse = np.linalg.eigvalsh(wradius._pencil(re, im, width * np.arange(cells)))[:, -1]
+        bounds = wradius._cell_bounds(coarse, width)
+        thetas = (width * np.arange(cells)[:, None] + inside).ravel()
+        fine = np.linalg.eigvalsh(wradius._pencil(re, im, thetas))[:, -1].reshape(cells, -1)
+        assert np.all(fine <= bounds[:, None] + slack)
+
+
+def tied_vertices(scale, seed):
+    # W(A) is a polygon with two vertices of equal modulus. One is the maximizer
+    # at the coarse angle 0; the other at 183 steps of 720, inside a cell whose
+    # two supporting lines both pass through it, so the cell bound is tight. At
+    # this scale the rounding of each sample is far above TIE_TOL.
+    u = g1gen.haar_unitary(np.random.default_rng(seed), 4)
+    top = np.array([2.0, 2.0 * np.exp(-183j * np.pi / 360), -1.0 + 0.5j, 0.3j])
+    return (u * (scale * top)) @ u.conj().T
+
+
+@pytest.mark.parametrize("grid_points", [720, 1440])
+def test_fill_samples_every_angle_in_the_tie_band(grid_points):
+    inputs = [*bound_inputs(), *(tied_vertices(1e8, seed) for seed in range(24))]
+    for a in inputs:
+        re, im = linalg.herm_part(a), linalg.skew_part(a)
+        fro = float(np.linalg.norm(a))
+        got = wradius._grid(re, im, grid_points, fro, rows=grid_points)
+        want = full_grid(a, grid_points)
+        sampled = ~np.isnan(got)
+        assert np.array_equal(got[sampled], want[sampled])
+        assert sampled[want >= want.max() - wradius.TIE_TOL].all()
+
+
+@pytest.mark.parametrize("grid_points", [720, 1440])
+def test_random_inputs_match_dense_oracle(grid_points):
+    rng = np.random.default_rng(53)
+    for n in range(2, 33):
+        a = random_complex(rng, n)
+        value = wradius.numerical_radius(a, grid_points).value
+        assert value == pytest.approx(oracles.numradius_dense(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("grid_points", [720, 1440])
+def test_nilpotent_block_samples_the_whole_half_turn(monkeypatch, grid_points):
+    # a flat support function leaves no cell below the tie band
+    calls = count_eigensolves(monkeypatch)
+    wradius.numerical_radius(degenerate_family("nilpotent"), grid_points)
+    assert sum(size for name, size in calls if name == "eigvalsh") == grid_points // 2
+
+
+@pytest.mark.parametrize("grid_points", [8, 10, 30])
+def test_grids_without_a_coarse_stride(monkeypatch, grid_points):
+    # fewer than 36 half-turn angles: the coarse pass is the whole grid
+    calls = count_eigensolves(monkeypatch)
+    rng = np.random.default_rng(55)
+    for a in (random_complex(rng, 4), degenerate_family("nilpotent"), SHIFT):
+        calls.clear()
+        result = wradius.numerical_radius(a, grid_points)
+        assert calls[0] == ("eigvalsh", grid_points // 2)
+        assert {name for name, _ in calls[1:]} == {"eigh"}
+        assert result.value >= full_grid(a, grid_points).max() - wradius.TIE_TOL
+        achieved = abs(np.conj(result.witness) @ (a @ result.witness))
+        assert achieved == pytest.approx(result.value, rel=1e-12)
+
+
+def test_fill_over_several_chunks_is_bitwise_identical(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    a = random_complex(np.random.default_rng(57), 6)
+    want = wradius.numerical_radius(a)
+    monkeypatch.setattr(wradius, "GRID_BYTES", 3 * a.nbytes)
+    calls.clear()
+    got = wradius.numerical_radius(a)
+    # 12 chunks of coarse angles, then the fill in more than one chunk
+    assert [name for name, _ in calls[:14]] == ["eigvalsh"] * 14
+    assert got.value == want.value
+    assert got.theta_star == want.theta_star
+    assert np.array_equal(got.witness, want.witness)
 
 
 @pytest.mark.parametrize("rows", range(1, 8))
@@ -253,5 +362,6 @@ def test_memory_stays_within_budget(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # unchunked, the 360-matrix half grid alone would take 90 budgets
+        # unchunked, the nilpotent block's fill (324 of the 360 half-turn
+        # angles) alone would take 81 budgets
         assert peak <= 8 * budget
