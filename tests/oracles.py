@@ -1,9 +1,11 @@
-"""Independent oracles for the numerical radius, used only by the tests."""
+"""Independent oracles for the numerical radius and the G1 certificate, used
+only by the tests."""
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from g1rad import linalg
+from g1rad import g1gen, linalg
+from g1rad.errors import ConfigError
 
 
 def numradius_lower_bound(a, samples: int, seed: int) -> float:
@@ -54,3 +56,33 @@ def numradius_dense(a, samples: int = 4096, polish: int = 3) -> float:
                               options={"xatol": 1e-12})
         best = max(best, -float(res.fun))
     return best
+
+
+def _resolvent_norm(a, z) -> float:
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    return linalg.spectral_norm(linalg.solve(complex(z) * eye - a, eye))
+
+
+def certify_pointwise(matrix, spectrum, circle_samples: int = 64,
+                      radii=g1gen.DEFAULT_RADII) -> float:
+    """g1gen.certify_core one test point at a time: an LU solve against I and
+    a spectral norm per point, over a full (points x n) distance table.
+
+    The stacked sweep must match it bit for bit.
+    """
+    a = linalg.as_matrix(matrix)
+    lam = np.asarray(spectrum, dtype=np.complex128).ravel()
+    if circle_samples < 1:
+        raise ConfigError("circle_samples must be positive")
+    ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
+    points = [ring]
+    for center in lam:
+        for rho in radii:
+            points.append(center + float(rho) * ring)
+    z = np.concatenate(points)
+    dist = np.abs(z[:, None] - lam[None, :]).min(axis=1)
+    keep = dist >= g1gen.TESTPOINT_GUARD
+    worst = 0.0
+    for zi, di in zip(z[keep], dist[keep]):
+        worst = max(worst, abs(_resolvent_norm(a, zi) * di - 1.0))
+    return float(worst)

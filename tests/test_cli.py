@@ -113,6 +113,33 @@ def test_certify_rejects_jordan_block(tmp_path, capsys):
     assert "certification failed" in err
 
 
+# g1rad certify stdout, to the byte, for the operator files that the bench's
+# certify-files workload writes at its default seed
+CERTIFY_GOLDEN = {
+    (4, "bundle"): '{"certificate": 3.9968028886505635e-15, "d": 0.25413343770538099, "n": 4, "normal": true}\n',
+    (4, "bare"): '{"certificate": 3.1086244689504383e-15, "d": 0.22594258201713113, "n": 4, "normal": false}\n',
+    (8, "bundle"): '{"certificate": 6.4392935428259079e-15, "d": 0.21414707976681713, "n": 8, "normal": true}\n',
+    (8, "bare"): '{"certificate": 1.0880185641326534e-14, "d": 0.23448345214557942, "n": 8, "normal": false}\n',
+    (16, "bundle"): '{"certificate": 6.1506355564233672e-14, "d": 0.20012046679630846, "n": 16, "normal": true}\n',
+    (16, "bare"): '{"certificate": 9.3258734068513149e-15, "d": 0.2750190124715497, "n": 16, "normal": false}\n',
+}
+
+
+@pytest.mark.parametrize("n, layout", sorted(CERTIFY_GOLDEN))
+def test_certify_output_is_pinned(tmp_path, capsys, n, layout):
+    op = g1gen.random_g1(runner.trial_seed(42, f"certify-{layout}", n, 0), n, 0.8)
+    if layout == "bundle":
+        obj = serialize.g1operator_to_json(op)
+    else:
+        obj = dict(serialize.matrix_to_json(op.matrix),
+                   spectrum=serialize.spectrum_to_json(op.spectrum))
+    path = tmp_path / f"op-n{n}-{layout}-0.json"
+    path.write_text(serialize.dumps(obj) + "\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 0
+    assert out == CERTIFY_GOLDEN[(n, layout)]
+
+
 def test_certify_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("nope")

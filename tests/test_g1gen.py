@@ -1,8 +1,11 @@
 """Tests for operator generation, boundary distance, and certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from g1rad import g1gen, linalg
 from g1rad.errors import CertificationFailed, ConfigError, Singular, SpectrumOnBoundary
 
@@ -153,3 +156,66 @@ def test_operator_accepts_certificate_backed_candidate():
     op = g1gen.G1Operator(matrix=a, spectrum=np.array([0.5, -0.3]),
                           unitary=None, d=0.5, certificate=cert)
     assert op.certificate <= 1e-6
+
+
+def _triangular(seed, n):
+    """Non-normal upper-triangular matrix with its spectrum on the diagonal."""
+    rng = np.random.default_rng(seed)
+    lam = 0.7 * g1gen._uniform_disk(rng, n)
+    t = 0.3 * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    return t + np.diag(lam), lam
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_certify_core_matches_pointwise_oracle_on_generated_operators(n):
+    op = g1gen.random_g1(seed=200 + n, n=n, rho_max=0.8)
+    assert g1gen.certify_core(op.matrix, op.spectrum) == oracles.certify_pointwise(
+        op.matrix, op.spectrum)
+
+
+@pytest.mark.parametrize("matrix, spectrum", [
+    _triangular(1, 2), _triangular(2, 5), _triangular(3, 9),
+    (JORDAN, [0.5, 0.5]),
+    (np.zeros((3, 3), dtype=complex), np.zeros(3)),
+])
+@pytest.mark.parametrize("samples", [1, 7, 64])
+def test_certify_core_matches_pointwise_oracle_on_hard_inputs(matrix, spectrum, samples):
+    assert g1gen.certify_core(matrix, spectrum, samples) == oracles.certify_pointwise(
+        matrix, spectrum, samples)
+
+
+def test_certify_core_and_oracle_raise_the_same_singular():
+    # the ring of radius 0.05 around the wrong eigenvalue 0.45 passes through 0.5
+    u = g1gen.haar_unitary(np.random.default_rng(14), 2)
+    a = (u * np.array([0.5, 0.25])) @ u.conj().T
+    messages = []
+    for certify in (g1gen.certify_core, oracles.certify_pointwise):
+        with pytest.raises(Singular) as exc:
+            certify(a, [0.45, 0.25])
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_sweep_budget_does_not_change_the_certificate(monkeypatch):
+    op = g1gen.random_g1(seed=15, n=7, rho_max=0.8)
+    for matrix, spectrum in (_triangular(4, 6), (JORDAN, [0.5, 0.5]), (op.matrix, op.spectrum)):
+        expected = g1gen.certify_core(matrix, spectrum)
+        for budget in (np.asarray(matrix, dtype=complex).nbytes, 1 << 40):
+            with monkeypatch.context() as patch:
+                patch.setattr(g1gen, "_SWEEP_BYTES", budget)
+                assert g1gen.certify_core(matrix, spectrum) == expected
+
+
+def test_certify_memory_stays_within_budget(monkeypatch):
+    op = g1gen.random_g1(seed=16, n=48, rho_max=0.8)
+    budget = 4 * op.matrix.nbytes
+    monkeypatch.setattr(g1gen, "_SWEEP_BYTES", budget)
+    tracemalloc.start()
+    try:
+        g1gen.certify_core(op.matrix, op.spectrum, circle_samples=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (points x n) distance table over all 1160 test points alone would
+    # take 6 budgets
+    assert peak <= 5 * budget

@@ -1,5 +1,9 @@
 """Unit and property tests for the dense matrix kernels."""
 
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +123,64 @@ def test_solve_round_trip():
         b = random_complex(rng, 6)
         x = linalg.solve(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(a) * np.linalg.norm(x)
+
+
+def test_solve_singular_under_warnings_as_errors():
+    # an exact zero pivot raises Singular, never a LAPACK warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Singular, match=r"^pivot 0\.000e\+00 below threshold$"):
+            linalg.solve(np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex))
+
+
+def test_concurrent_solves_leave_warning_filters_alone():
+    before = list(warnings.filters)
+    eye = np.eye(2, dtype=complex)
+
+    def work(_):
+        for _ in range(1000):
+            linalg.solve(np.diag([2.0, 4.0]).astype(complex), eye)
+            with pytest.raises(Singular):
+                linalg.solve(np.ones((2, 2), dtype=complex), eye)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert warnings.filters == before
+
+
+def test_resolvent_norms_match_pointwise_solves_bitwise():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 9):
+        a = random_complex(rng, n)
+        points = 3.0 * rng.standard_normal(12) + 3.0j * rng.standard_normal(12)
+        eye = np.eye(n, dtype=complex)
+        expected = [linalg.spectral_norm(linalg.solve(z * eye - a, eye)) for z in points]
+        assert linalg.resolvent_norms(a, points).tolist() == expected
+
+
+def test_resolvent_norms_empty_points():
+    assert linalg.resolvent_norms(np.eye(3, dtype=complex), []).shape == (0,)
+
+
+def test_resolvent_norms_raise_at_the_first_singular_point():
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(random_complex(rng, 2))
+    a = (q * np.array([0.5, 0.25])) @ q.conj().T
+    eye = np.eye(2, dtype=complex)
+    messages = []
+    for z in (0.25, 0.5):
+        with pytest.raises(Singular) as first:
+            linalg.solve(z * eye - a, eye)
+        messages.append(str(first.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(Singular) as exc:
+        linalg.resolvent_norms(a, [0.9, 0.25, 0.5])
+    assert str(exc.value) == messages[0]
 
 
 def test_block2x2_scalar_blocks():
