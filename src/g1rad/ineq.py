@@ -22,7 +22,6 @@ PASS_REL = 1e-8
 PASS_ABS = 1e-10
 EQUALITY_REL = 1e-8
 SELFADJOINT_TOL = 1e-10
-BLOCK_GRID_CUTOFF = 8
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ def _equality_report(name, lhs, rhs, seed, dim) -> InequalityReport:
 
 
 def _w(m: np.ndarray) -> float:
-    grid = 720 if m.shape[0] <= BLOCK_GRID_CUTOFF else 1440
-    return wradius.numerical_radius(m, grid).value
+    return wradius.numerical_radius(m).value
 
 
 def _norm(m: np.ndarray) -> float:

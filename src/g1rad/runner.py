@@ -2,8 +2,7 @@
 
 Every trial derives its RNG stream from a SHA-256 hash of
 (master_seed, suite, dim, trial), so any single report can be replayed
-without rerunning the batch, and parallel execution folds results in
-trial order to keep emitted reports byte-identical to a serial run.
+without rerunning the batch.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -174,6 +172,11 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int) -> Inequali
 
 
 def worker_count() -> int:
+    """Worker threads for a pool: WRAD_THREADS, else the CPUs in the affinity mask.
+
+    Its only caller is the benchmark's certify pool; ``verify`` runs its
+    trials serially and no longer reads WRAD_THREADS.
+    """
     env = os.environ.get("WRAD_THREADS")
     if env is not None:
         try:
@@ -189,39 +192,16 @@ def worker_count() -> int:
 
 
 def run_suite(config: TrialConfig) -> RunResult:
-    """Run every (suite, dim, trial) cell and aggregate one report per suite."""
+    """Run every (suite, dim, trial) cell in order and aggregate one report per suite."""
     config.validate()
-    tasks = [
-        (suite, int(dim), trial)
-        for suite in config.suites
-        for dim in config.dims
-        for trial in range(config.trials_per_suite)
-    ]
-
-    def one(task):
-        suite, dim, trial = task
-        start = time.perf_counter()
-        report = run_trial(config, suite, dim, trial)
-        return report, time.perf_counter() - start
-
-    workers = worker_count()
-    if workers == 1:
-        outcomes = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, tasks))
-
-    by_suite: dict[str, list[InequalityReport]] = {s: [] for s in config.suites}
-    elapsed = {s: 0.0 for s in config.suites}
-    details: list[InequalityReport] = []
-    for (suite, _, _), (report, dt) in zip(tasks, outcomes):
-        by_suite[suite].append(report)
-        elapsed[suite] += dt
-        details.append(report)
-
-    suites = []
+    suites, details = [], []
     for suite in config.suites:
-        reports = by_suite[suite]
+        reports, elapsed = [], 0.0
+        for dim in config.dims:
+            for trial in range(config.trials_per_suite):
+                start = time.perf_counter()
+                reports.append(run_trial(config, suite, int(dim), trial))
+                elapsed += time.perf_counter() - start
         # an infinite ratio (rhs == 0 < lhs) is the worst case, not skipped
         argmax = max(reports, key=lambda r: r.ratio)
         suites.append(SuiteReport(
@@ -231,8 +211,9 @@ def run_suite(config: TrialConfig) -> RunResult:
             max_ratio=argmax.ratio,
             argmax_seed=argmax.seed,
             argmax_dim=argmax.dim,
-            trial_time=elapsed[suite],
+            trial_time=elapsed,
         ))
+        details.extend(reports)
     return RunResult(suites=suites, details=details)
 
 

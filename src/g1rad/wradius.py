@@ -126,7 +126,9 @@ def _refine(re, im, centers: np.ndarray, half_width: float, fro: float):
         best_vec[live[better]] = v[better]
 
         # g_k = v_k* H'(theta) v with H' = -sin(theta) Re A - cos(theta) Im A.
-        dv = -(np.sin(th)[:, None] * (v @ re.T) + np.cos(th)[:, None] * (v @ im.T))
+        # One (1, n) product per candidate: its bits do not depend on the stack size.
+        vk = v[:, None, :]
+        dv = -(np.sin(th)[:, None] * (vk @ re.T)[:, 0] + np.cos(th)[:, None] * (vk @ im.T)[:, 0])
         g = np.einsum("kij,ki->kj", vecs.conj(), dv)
         d1 = g[:, -1].real
         gaps = lam[:, None] - evals[:, :-1]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from g1rad import funcalc, g1gen, ineq, linalg
+from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import DimensionMismatch, NotSelfAdjoint
 from g1rad.funcalc import HerglotzFunction
 
@@ -115,6 +115,20 @@ def test_lemma21c_random_both_signs():
     mats = [random_complex(rng, 3) for _ in range(4)]
     for sign in ("+", "-"):
         assert ineq.check_lemma21_c(*mats, sign).passed
+
+
+def test_lemma21c_block_uses_the_default_grid(monkeypatch):
+    calls = []
+    radius = wradius.numerical_radius
+
+    def recording(a, *args, **kwargs):
+        calls.append((a.shape[0], args, kwargs))
+        return radius(a, *args, **kwargs)
+
+    monkeypatch.setattr(wradius, "numerical_radius", recording)
+    assert runner.run_trial(runner.TrialConfig(), "lemma21c", 8, 0).passed
+    assert (16, (), {}) in calls
+    assert all(args == () and kwargs == {} for _, args, kwargs in calls)
 
 
 # ---------------------------------------------------------------- lemma21d

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -35,15 +36,24 @@ def test_run_is_deterministic():
     assert t1 == t2
 
 
-def test_parallel_matches_serial(monkeypatch):
+def test_trials_run_serially_on_the_calling_thread(monkeypatch):
     cfg = runner.TrialConfig(master_seed=3, dims=(2, 3), trials_per_suite=4,
                              suites=("lemma21a", "thm22"))
     monkeypatch.setenv("WRAD_THREADS", "1")
-    serial = runner.run_suite(cfg)
+    one = runner.run_suite(cfg)
+    threads = []
+    trial = runner.run_trial
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return trial(*args)
+
+    monkeypatch.setattr(runner, "run_trial", recording)
     monkeypatch.setenv("WRAD_THREADS", "3")
-    parallel = runner.run_suite(cfg)
-    assert (runner.render_report(serial.suites, serial.details, "json", cfg)
-            == runner.render_report(parallel.suites, parallel.details, "json", cfg))
+    three = runner.run_suite(cfg)
+    assert threads == [threading.get_ident()] * 16
+    assert (runner.render_report(one.suites, one.details, "json", cfg)
+            == runner.render_report(three.suites, three.details, "json", cfg))
 
 
 def test_bad_threads_env(monkeypatch):

@@ -338,7 +338,10 @@ def test_fill_over_several_chunks_is_bitwise_identical(monkeypatch):
 @pytest.mark.parametrize("rows", range(1, 8))
 def test_chunked_grid_is_bitwise_identical(monkeypatch, rows):
     rng = np.random.default_rng(41)
-    inputs = [random_complex(rng, 5), degenerate_family("nilpotent")]
+    zero = np.zeros((8, 8), dtype=complex)
+    # the 16x16 off-diagonal block refines a tied pair of candidates in one stack
+    inputs = [random_complex(rng, 5), degenerate_family("nilpotent"), random_complex(rng, 16),
+              linalg.block2x2(zero, random_complex(rng, 8), random_complex(rng, 8), zero)]
     expected = [wradius.numerical_radius(a) for a in inputs]
     for a, want in zip(inputs, expected):
         monkeypatch.setattr(wradius, "GRID_BYTES", rows * a.nbytes)
