@@ -74,7 +74,6 @@ def _cmd_verify(args) -> int:
         suites=_parse_suites(args.suites),
         report_format=args.format,
     )
-    config.validate()
     if args.replay is not None:
         suite, dim, trial = _parse_replay(args.replay)
         if suite not in config.suites:
@@ -121,14 +120,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_wrad(args) -> int:
-    import json
-
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read matrix file {args.input}: {exc}") from exc
-    matrix = serialize.matrix_from_json(obj)
+    matrix = serialize.matrix_from_json(serialize.read_json(args.input))
     result = wradius.numerical_radius(matrix)
     payload = {
         "value": result.value,

@@ -5,10 +5,6 @@ class G1RadError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(G1RadError):
-    """Raised when a matrix fails the Hermitian-symmetry precondition."""
-
-
 class NotUnitary(G1RadError):
     """Raised when a matrix fails the unitarity precondition."""
 

@@ -8,7 +8,8 @@ which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Matrix arguments
 are handled by two independent routes: unitary diagonalization for normal
 input, and trapezoidal quadrature of the Cauchy resolvent integral for
 anything with spectrum inside the disk. The conjugate function acts as
-fbar(A) = (f(A))*, with a direct kernel summation kept as a cross-check.
+fbar(A) = (f(A))*; the tests check this identity against a direct
+conjugate-kernel summation kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class HerglotzFunction:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def atoms(self) -> int:
-        return int(self.angles.size)
 
 
 def _kernel_sum(f: HerglotzFunction, z):
@@ -118,24 +115,3 @@ def riesz_dunford(f: HerglotzFunction, a, spectrum, nodes: int = 512) -> np.ndar
         terms[m] = (z[m] * fz[m]) * linalg.solve(z[m] * eye - a, eye)
     return terms.sum(axis=0) / nodes
 
-
-def apply_direct(f: HerglotzFunction, a) -> np.ndarray:
-    """Exact discrete-measure evaluation sum_j w_j (e^{i a_j} + A)(e^{i a_j} - A)^{-1}."""
-    a = linalg.as_matrix(a)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    out = np.zeros_like(a)
-    for alpha, weight in zip(f.angles, f.weights):
-        e = np.exp(1j * alpha)
-        out = out + weight * linalg.solve(e * eye - a, e * eye + a)
-    return out
-
-
-def fbar_direct(f: HerglotzFunction, a) -> np.ndarray:
-    """Conjugate-kernel summation sum_j w_j (e^{-i a_j} + A*)(e^{-i a_j} - A*)^{-1}."""
-    adj = linalg.adjoint(linalg.as_matrix(a))
-    eye = np.eye(adj.shape[0], dtype=np.complex128)
-    out = np.zeros_like(adj)
-    for alpha, weight in zip(f.angles, f.weights):
-        e = np.exp(-1j * alpha)
-        out = out + weight * linalg.solve(e * eye - adj, e * eye + adj)
-    return out

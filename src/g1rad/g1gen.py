@@ -24,7 +24,7 @@ RECONSTRUCTION_TOL = 1e-10
 NORMALITY_TOL = 1e-10
 CERT_THRESHOLD = 1e-6
 TESTPOINT_GUARD = 1e-6
-DEFAULT_RADII = (0.05, 0.1, 0.2)
+RING_RADII = (0.05, 0.1, 0.2)
 # Bytes of stacked n x n matrices per chunk of the certify sweep. The
 # sweep holds a few such stacks at once.
 _SWEEP_BYTES = 256 << 10
@@ -49,7 +49,9 @@ class G1Operator:
     Generated operators carry their diagonalizing unitary and are validated
     as exactly normal; file-loaded candidates may omit the unitary, in which
     case a growth-condition certificate is required. A certificate, when
-    given, must be <= CERT_THRESHOLD whether or not a unitary is present.
+    given, must be <= CERT_THRESHOLD whether or not a unitary is present; it
+    is checked first, so a failing certificate is reported as such even when
+    the rest of the bundle is inconsistent too.
     """
 
     matrix: np.ndarray
@@ -59,6 +61,10 @@ class G1Operator:
     certificate: float | None = field(default=None)
 
     def __post_init__(self):
+        if self.certificate is not None and self.certificate > CERT_THRESHOLD:
+            raise CertificationFailed(
+                f"growth-condition certificate {self.certificate:.6e} exceeds {CERT_THRESHOLD}"
+            )
         matrix = linalg.as_matrix(self.matrix)
         lam = np.asarray(self.spectrum, dtype=np.complex128).ravel()
         n = matrix.shape[0]
@@ -66,8 +72,6 @@ class G1Operator:
             raise ValueError(f"{lam.size} eigenvalues for a {n}x{n} matrix")
         if abs(self.d - boundary_distance(lam)) > D_TOL:
             raise ValueError("d does not match min(1 - |lambda|)")
-        if self.certificate is not None and self.certificate > CERT_THRESHOLD:
-            raise CertificationFailed(f"certificate {self.certificate:.3e} exceeds {CERT_THRESHOLD}")
         if self.unitary is not None:
             u = linalg.as_matrix(self.unitary)
             if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > linalg.UNITARY_TOL:
@@ -123,16 +127,10 @@ def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
                       d=boundary_distance(spectrum))
 
 
-def resolvent_norm(a, z: complex) -> float:
-    """||(zI - A)^{-1}||; raises Singular when z is numerically on the spectrum."""
-    return float(linalg.resolvent_norms(linalg.as_matrix(a), [z])[0])
+def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
+    """Worst deviation |resolvent norm * dist - 1| over the sampling set.
 
-
-def certify_core(matrix, spectrum, circle_samples: int = 64,
-                 radii=DEFAULT_RADII) -> float:
-    """Worst deviation |resolvent_norm * dist - 1| over the sampling set.
-
-    Test points are circles of the given radii around each eigenvalue plus
+    Test points are circles of radii RING_RADII around each eigenvalue plus
     one sweep of the unit circle; points closer than TESTPOINT_GUARD to the
     spectrum are dropped to keep the resolvent solves conditioned. The
     points are swept in order, in chunks of at most _SWEEP_BYTES of stacked
@@ -147,8 +145,8 @@ def certify_core(matrix, spectrum, circle_samples: int = 64,
     ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
     points = [ring]
     for center in lam:
-        for rho in radii:
-            points.append(center + float(rho) * ring)
+        for rho in RING_RADII:
+            points.append(center + rho * ring)
     z = np.concatenate(points)
     del points
     chunk = max(1, _SWEEP_BYTES // a.nbytes)
@@ -162,7 +160,3 @@ def certify_core(matrix, spectrum, circle_samples: int = 64,
         worst = float(np.fmax.reduce(dev, initial=worst))
     return worst
 
-
-def certify_g1(op: G1Operator, circle_samples: int = 64, radii=DEFAULT_RADII) -> float:
-    """Growth-condition certificate for an operator bundle; ~0 for normal input."""
-    return certify_core(op.matrix, op.spectrum, circle_samples, radii)

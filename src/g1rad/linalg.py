@@ -1,4 +1,4 @@
-"""Dense complex matrix kernels: adjoints, Hermitian eigensolves, norms, solves.
+"""Dense complex matrix kernels: adjoints, Hermitian parts, norms, solves.
 
 All functions are pure; matrices are square complex ndarrays treated as
 immutable values. Tolerances are relative, anchored to the Frobenius norm.
@@ -12,9 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import DimensionMismatch, NotHermitian, Singular
+from .errors import DimensionMismatch, Singular
 
-HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 PIVOT_TOL = 1e-13
 
@@ -42,20 +41,6 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 def skew_part(a: np.ndarray) -> np.ndarray:
     """Imaginary part (A - A*)/2i; the result is Hermitian."""
     return (a - adjoint(a)) / 2j
-
-
-def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix). The input
-    must be Hermitian within HERMITIAN_TOL relative to its Frobenius norm.
-    """
-    h = as_matrix(h)
-    fro = np.linalg.norm(h)
-    if np.linalg.norm(h - adjoint(h)) > HERMITIAN_TOL * (1.0 + fro):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    evals, evecs = np.linalg.eigh(h)
-    return evals, evecs
 
 
 def spectral_norm(a: np.ndarray) -> float:

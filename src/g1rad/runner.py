@@ -8,7 +8,6 @@ without rerunning the batch.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -17,8 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import funcalc, g1gen, ineq, linalg, serialize
-from .errors import CertificationFailed, ConfigError, IoError, ParseError
-from .g1gen import CERT_THRESHOLD, G1Operator
+from .errors import ConfigError, IoError, ParseError
+from .g1gen import G1Operator
 from .ineq import InequalityReport
 
 
@@ -87,6 +86,9 @@ class TrialConfig:
     atoms: int = 8
     suites: tuple = ALL_SUITES
     report_format: str = "json"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not self.suites:
@@ -175,7 +177,7 @@ def worker_count() -> int:
     """Worker threads for a pool: WRAD_THREADS, else the CPUs in the affinity mask.
 
     Its only caller is the benchmark's certify pool; ``verify`` runs its
-    trials serially and no longer reads WRAD_THREADS.
+    trials serially.
     """
     env = os.environ.get("WRAD_THREADS")
     if env is not None:
@@ -193,7 +195,6 @@ def worker_count() -> int:
 
 def run_suite(config: TrialConfig) -> RunResult:
     """Run every (suite, dim, trial) cell in order and aggregate one report per suite."""
-    config.validate()
     suites, details = [], []
     for suite in config.suites:
         reports, elapsed = [], 0.0
@@ -227,18 +228,6 @@ def report_to_json(report: InequalityReport) -> dict:
         "seed": report.seed,
         "dim": report.dim,
     }
-
-
-def report_from_json(obj) -> InequalityReport:
-    return InequalityReport(
-        name=serialize._require(obj, "name", str),
-        lhs=float(serialize._require(obj, "lhs", float)),
-        rhs=float(serialize._require(obj, "rhs", float)),
-        ratio=float(serialize._require(obj, "ratio", float)),
-        passed=serialize._require(obj, "pass", bool),
-        seed=serialize._require(obj, "seed", int),
-        dim=serialize._require(obj, "dim", int),
-    )
 
 
 def render_report(suites, details, fmt: str, config: TrialConfig | None = None) -> str:
@@ -282,13 +271,7 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
     or a bare matrix object with an explicit "spectrum" field; non-normal
     candidates without a spectrum cannot be admitted.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    obj = serialize.read_json(path)
     if not isinstance(obj, dict):
         raise ParseError("operator file must contain a JSON object")
 
@@ -310,10 +293,6 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
         raise ParseError("unrecognized operator file layout")
 
     certificate = g1gen.certify_core(matrix, spectrum, circle_samples)
-    if certificate > CERT_THRESHOLD:
-        raise CertificationFailed(
-            f"growth-condition certificate {certificate:.6e} exceeds {CERT_THRESHOLD}"
-        )
     try:
         return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,
                           d=d, certificate=certificate)

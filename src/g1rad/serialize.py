@@ -64,6 +64,17 @@ def _write(obj, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def read_json(path):
+    """Parse a JSON file; an unreadable file or invalid JSON is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def _require(obj, key, kind):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}")
@@ -117,25 +128,6 @@ def spectrum_from_json(obj) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
         raise ParseError("spectrum must be a list of finite [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
-
-
-def herglotz_to_json(f) -> dict:
-    return {
-        "angles": [float(v) for v in f.angles],
-        "weights": [float(v) for v in f.weights],
-    }
-
-
-def herglotz_from_json(obj):
-    from .funcalc import HerglotzFunction
-
-    angles = _require(obj, "angles", list)
-    weights = _require(obj, "weights", list)
-    try:
-        return HerglotzFunction(np.asarray(angles, dtype=np.float64),
-                                np.asarray(weights, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"invalid boundary measure: {exc}") from exc
 
 
 def g1operator_to_json(op) -> dict:

@@ -1,5 +1,5 @@
-"""Independent oracles for the numerical radius and the G1 certificate, used
-only by the tests."""
+"""Independent oracles for the numerical radius, the conjugate function and
+the G1 certificate, used only by the tests."""
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -58,13 +58,38 @@ def numradius_dense(a, samples: int = 4096, polish: int = 3) -> float:
     return best
 
 
+def apply_direct(f, a) -> np.ndarray:
+    """Exact discrete-measure evaluation sum_j w_j (e^{i a_j} + A)(e^{i a_j} - A)^{-1}."""
+    a = linalg.as_matrix(a)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    out = np.zeros_like(a)
+    for alpha, weight in zip(f.angles, f.weights):
+        e = np.exp(1j * alpha)
+        out = out + weight * linalg.solve(e * eye - a, e * eye + a)
+    return out
+
+
+def fbar_direct(f, a) -> np.ndarray:
+    """Conjugate-kernel summation sum_j w_j (e^{-i a_j} + A*)(e^{-i a_j} - A*)^{-1}.
+
+    Independent of every f(A) route in g1rad.funcalc, so comparing it with
+    the adjoint of f(A) checks fbar(A) = (f(A))*.
+    """
+    adj = linalg.adjoint(linalg.as_matrix(a))
+    eye = np.eye(adj.shape[0], dtype=np.complex128)
+    out = np.zeros_like(adj)
+    for alpha, weight in zip(f.angles, f.weights):
+        e = np.exp(-1j * alpha)
+        out = out + weight * linalg.solve(e * eye - adj, e * eye + adj)
+    return out
+
+
 def _resolvent_norm(a, z) -> float:
     eye = np.eye(a.shape[0], dtype=np.complex128)
     return linalg.spectral_norm(linalg.solve(complex(z) * eye - a, eye))
 
 
-def certify_pointwise(matrix, spectrum, circle_samples: int = 64,
-                      radii=g1gen.DEFAULT_RADII) -> float:
+def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:
     """g1gen.certify_core one test point at a time: an LU solve against I and
     a spectral norm per point, over a full (points x n) distance table.
 
@@ -77,8 +102,8 @@ def certify_pointwise(matrix, spectrum, circle_samples: int = 64,
     ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
     points = [ring]
     for center in lam:
-        for rho in radii:
-            points.append(center + float(rho) * ring)
+        for rho in g1gen.RING_RADII:
+            points.append(center + rho * ring)
     z = np.concatenate(points)
     dist = np.abs(z[:, None] - lam[None, :]).min(axis=1)
     keep = dist >= g1gen.TESTPOINT_GUARD

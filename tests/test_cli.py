@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, exit codes, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +116,18 @@ def test_certify_rejects_jordan_block(tmp_path, capsys):
     assert "certification failed" in err
 
 
+def test_certify_reports_a_failed_certificate_before_a_wrong_d(tmp_path, capsys):
+    # the certificate is checked first, so the wrong d never surfaces as a parse error
+    jordan = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+    obj = {"matrix": serialize.matrix_to_json(jordan),
+           "spectrum": [[0.5, 0.0], [0.5, 0.0]], "unitary": None, "d": 0.9}
+    path = tmp_path / "jordan-bundle.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 1
+    assert "certification failed" in err
+
+
 # g1rad certify stdout, to the byte, for the operator files that the bench's
 # certify-files workload writes at its default seed
 CERTIFY_GOLDEN = {
@@ -162,6 +177,39 @@ def test_wrad_parse_error(tmp_path, capsys):
     path.write_text('{"n": 2, "re": [[0]]}')
     code, _, _ = run_cli(capsys, "wrad", "--input", str(path))
     assert code == 2
+
+
+def test_wrad_unreadable_file(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "wrad", "--input", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "cannot read" in err
+    path = tmp_path / "garbage.json"
+    path.write_text("{not json")
+    code, _, err = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_env_after_import(env):
+    code = "import os, g1rad; print(' '.join(os.environ[v] for v in %r))" % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.split()
+
+
+def test_import_pins_blas_to_one_thread_by_default():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    assert _blas_env_after_import(env) == ["1", "1", "1"]
+
+
+def test_import_keeps_a_blas_thread_setting():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3", MKL_NUM_THREADS="4")
+    assert _blas_env_after_import(env) == ["2", "3", "4"]
 
 
 def test_verify_exit_code_on_failed_check(monkeypatch, capsys):

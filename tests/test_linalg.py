@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from g1rad import linalg
-from g1rad.errors import DimensionMismatch, NotHermitian, Singular
+from g1rad.errors import DimensionMismatch, Singular
 
 
 def random_complex(rng, n):
@@ -59,32 +59,6 @@ def test_herm_part_kills_skew():
     s = random_complex(rng, 4)
     s = 0.5 * (s - s.conj().T)
     assert_allclose(linalg.herm_part(s), np.zeros((4, 4)), atol=1e-15)
-
-
-def test_hermitian_eigen_diagonal():
-    evals, _ = linalg.hermitian_eigen(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    assert_allclose(evals, [1.0, 2.0, 3.0])
-
-
-def test_hermitian_eigen_pauli_x():
-    evals, _ = linalg.hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    assert_allclose(evals, [-1.0, 1.0])
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
-def test_hermitian_eigen_residual(n):
-    rng = np.random.default_rng(100 + n)
-    h = linalg.herm_part(random_complex(rng, n))
-    evals, vecs = linalg.hermitian_eigen(h)
-    fro = np.linalg.norm(h)
-    assert np.linalg.norm(h @ vecs - vecs * evals) <= 1e-10 * (1.0 + fro)
-    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-10
-    assert np.all(np.diff(evals) >= 0.0)
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        linalg.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_spectral_norm_identity():

@@ -93,6 +93,11 @@ def test_config_validation():
         runner.TrialConfig(report_format="xml").validate()
 
 
+def test_config_is_validated_on_construction():
+    with pytest.raises(ConfigError):
+        runner.TrialConfig(suites=())
+
+
 def test_json_round_trip(tmp_path):
     result = runner.run_suite(TINY)
     path = tmp_path / "report.json"
@@ -100,8 +105,7 @@ def test_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["config"]["master_seed"] == 7
     assert [s["suite"] for s in doc["suites"]] == ["thm22"]
-    parsed = [runner.report_from_json(item) for item in doc["details"]]
-    assert parsed == result.details
+    assert doc["details"] == [runner.report_to_json(r) for r in result.details]
 
 
 def test_json_emits_17_digit_floats(tmp_path):
@@ -295,21 +299,6 @@ def test_load_missing_file():
 
 
 # -------------------------------------------------------------- wire formats
-
-def test_herglotz_json_round_trip():
-    from g1rad import funcalc
-
-    f = funcalc.random_herglotz(17, 5)
-    doc = json.loads(json.dumps(serialize.herglotz_to_json(f)))
-    g = serialize.herglotz_from_json(doc)
-    np.testing.assert_array_equal(f.angles, g.angles)
-    np.testing.assert_array_equal(f.weights, g.weights)
-
-
-def test_herglotz_json_rejects_bad_measure():
-    with pytest.raises(ParseError):
-        serialize.herglotz_from_json({"angles": [0.0], "weights": [0.5]})
-
 
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(18)
