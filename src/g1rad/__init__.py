@@ -26,7 +26,6 @@ from .errors import (
     G1RadError,
     IoError,
     NotSelfAdjoint,
-    NotUnitary,
     ParseError,
     Singular,
     SpectrumOnBoundary,
@@ -34,7 +33,6 @@ from .errors import (
 from .funcalc import (
     HerglotzFunction,
     apply_normal,
-    eval_herglotz,
     random_herglotz,
     riesz_dunford,
 )
@@ -65,9 +63,8 @@ from .linalg import (
     as_matrix,
     block2x2,
     herm_part,
-    resolvent_norms,
+    resolvents,
     skew_part,
-    solve,
     spectral_norm,
 )
 from .runner import (
@@ -98,7 +95,6 @@ __all__ = [
     "InequalityReport",
     "IoError",
     "NotSelfAdjoint",
-    "NotUnitary",
     "ParseError",
     "RadiusResult",
     "RunResult",
@@ -125,7 +121,6 @@ __all__ = [
     "check_thm22",
     "check_thm24",
     "emit_report",
-    "eval_herglotz",
     "haar_unitary",
     "herm_part",
     "load_operator",
@@ -133,12 +128,11 @@ __all__ = [
     "random_g1",
     "random_herglotz",
     "render_report",
-    "resolvent_norms",
+    "resolvents",
     "riesz_dunford",
     "run_suite",
     "run_trial",
     "skew_part",
-    "solve",
     "spectral_norm",
     "trial_seed",
 ]

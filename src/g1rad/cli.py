@@ -33,21 +33,15 @@ from .runner import (
 
 def _parse_dims(text: str) -> tuple:
     try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"bad dims list {text!r}") from exc
-    if not dims:
-        raise ConfigError("dims list is empty")
-    return dims
 
 
 def _parse_suites(text: str) -> tuple:
     if text.strip() == "all":
         return ALL_SUITES
-    suites = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not suites:
-        raise ConfigError("suites list is empty")
-    return suites
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_replay(text: str) -> tuple:

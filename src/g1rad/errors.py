@@ -5,16 +5,12 @@ class G1RadError(Exception):
     """Base class for all package errors."""
 
 
-class NotUnitary(G1RadError):
-    """Raised when a matrix fails the unitarity precondition."""
-
-
 class NotSelfAdjoint(G1RadError):
     """Raised when an operand required to be self-adjoint is not."""
 
 
 class Singular(G1RadError):
-    """Raised when a linear solve hits a negligible pivot."""
+    """Raised when an LU factorization hits a negligible pivot."""
 
 
 class DimensionMismatch(G1RadError):

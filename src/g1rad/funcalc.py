@@ -5,11 +5,12 @@ A function here is a discrete probability measure on the circle,
     f(z) = sum_j w_j (e^{i a_j} + z) / (e^{i a_j} - z),
 
 which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Matrix arguments
-are handled by two independent routes: unitary diagonalization for normal
-input, and trapezoidal quadrature of the Cauchy resolvent integral for
-anything with spectrum inside the disk. The conjugate function acts as
-fbar(A) = (f(A))*; the tests check this identity against a direct
-conjugate-kernel summation kept in tests/oracles.py.
+are handled by two independent routes: unitary diagonalization of a
+G1Operator that carries its diagonalizer, and trapezoidal quadrature of the
+Cauchy resolvent integral, over one stack of resolvents from
+linalg.resolvents, for anything with spectrum inside the disk. The
+conjugate function acts as fbar(A) = (f(A))*; the tests check this identity
+against a direct conjugate-kernel summation kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, DomainError, NotUnitary
+from .errors import DomainError
+from .g1gen import G1Operator
 
 WEIGHT_SUM_TOL = 1e-14
 TWO_PI = 2.0 * np.pi
@@ -54,14 +56,6 @@ def _kernel_sum(f: HerglotzFunction, z):
     return np.sum(f.weights * (e + z[..., None]) / (e - z[..., None]), axis=-1)
 
 
-def eval_herglotz(f: HerglotzFunction, z: complex) -> complex:
-    """Evaluate f at a point strictly inside the unit disk."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z):.6f} is not inside the unit disk")
-    return complex(_kernel_sum(f, z))
-
-
 def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
     """Draw angles uniformly on [0, 2pi) and normalized positive weights."""
     if atoms < 1:
@@ -73,19 +67,13 @@ def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
     return HerglotzFunction(angles, weights)
 
 
-def apply_normal(f: HerglotzFunction, unitary, lambdas) -> np.ndarray:
-    """f(A) for normal A = U diag(lambda) U*, by scalar evaluation on the spectrum."""
-    u = linalg.as_matrix(unitary)
-    lam = np.asarray(lambdas, dtype=np.complex128).ravel()
-    n = u.shape[0]
-    if lam.size != n:
-        raise DimensionMismatch(f"{lam.size} eigenvalues for a {n}x{n} unitary")
-    if np.any(np.abs(lam) >= 1.0):
-        raise DomainError("spectrum must lie strictly inside the unit disk")
-    if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > linalg.UNITARY_TOL:
-        raise NotUnitary("diagonalizer is not unitary within tolerance")
-    fvals = _kernel_sum(f, lam)
-    return (u * fvals) @ linalg.adjoint(u)
+def apply_normal(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
+    """f(A) = U diag(f(lambda)) U* for an operator that carries its diagonalizer U.
+
+    G1Operator has already checked that U is unitary, that A = U diag(lambda) U*
+    and that the spectrum lies inside the unit disk.
+    """
+    return (op.unitary * _kernel_sum(f, op.spectrum)) @ linalg.adjoint(op.unitary)
 
 
 def riesz_dunford(f: HerglotzFunction, a, spectrum, nodes: int = 512) -> np.ndarray:
@@ -106,12 +94,7 @@ def riesz_dunford(f: HerglotzFunction, a, spectrum, nodes: int = 512) -> np.ndar
     if rho >= 1.0:
         raise DomainError("spectrum must lie strictly inside the unit disk")
     radius = 0.5 * (rho + 1.0)
-    n = a.shape[0]
     z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    fz = _kernel_sum(f, z)
-    eye = np.eye(n, dtype=np.complex128)
-    terms = np.empty((nodes, n, n), dtype=np.complex128)
-    for m in range(nodes):
-        terms[m] = (z[m] * fz[m]) * linalg.solve(z[m] * eye - a, eye)
+    terms = (z * _kernel_sum(f, z))[:, None, None] * linalg.resolvents(a, z)
     return terms.sum(axis=0) / nodes
 

@@ -135,11 +135,14 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
     spectrum are dropped to keep the resolvent solves conditioned. The
     points are swept in order, in chunks of at most _SWEEP_BYTES of stacked
     n x n matrices (at least one point): the loop computes each chunk's
-    distances to the spectrum, and one linalg.resolvent_norms call its
-    resolvent norms. A Singular point stops the sweep.
+    distances to the spectrum, and linalg.spectral_norm of the chunk's
+    linalg.resolvents its resolvent norms. A Singular point stops the sweep.
+    A spectrum without one eigenvalue per row raises ValueError first.
     """
     a = linalg.as_matrix(matrix)
     lam = np.asarray(spectrum, dtype=np.complex128).ravel()
+    if lam.size != a.shape[0]:
+        raise ValueError(f"{lam.size} eigenvalues for a {a.shape[0]}x{a.shape[0]} matrix")
     if circle_samples < 1:
         raise ConfigError("circle_samples must be positive")
     ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
@@ -155,7 +158,8 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
         zc = z[start:start + chunk]
         dist = np.abs(zc[:, None] - lam[None, :]).min(axis=1)
         keep = dist >= TESTPOINT_GUARD
-        dev = np.abs(linalg.resolvent_norms(a, zc[keep]) * dist[keep] - 1.0)
+        norms = linalg.spectral_norm(linalg.resolvents(a, zc[keep]))
+        dev = np.abs(norms * dist[keep] - 1.0)
         # fmax skips a NaN deviation, as max(worst, nan) does
         worst = float(np.fmax.reduce(dev, initial=worst))
     return worst

@@ -85,7 +85,7 @@ def _sign(sign: str) -> float:
 
 def _f_of(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
     if op.unitary is not None:
-        return funcalc.apply_normal(f, op.unitary, op.spectrum)
+        return funcalc.apply_normal(f, op)
     return funcalc.riesz_dunford(f, op.matrix, op.spectrum)
 
 

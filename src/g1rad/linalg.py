@@ -1,4 +1,4 @@
-"""Dense complex matrix kernels: adjoints, Hermitian parts, norms, solves.
+"""Dense complex matrix kernels: adjoints, Hermitian parts, norms, resolvents.
 
 All functions are pure; matrices are square complex ndarrays treated as
 immutable values. Tolerances are relative, anchored to the Frobenius norm.
@@ -43,46 +43,21 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - adjoint(a)) / 2j
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Operator norm sqrt(lambda_max(A*A))."""
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """Operator norm sqrt(lambda_max(A*A)) of one matrix, or of each matrix in a stack."""
     a = np.asarray(a, dtype=np.complex128)
-    gram = adjoint(a) @ a
-    top = np.linalg.eigvalsh(gram)[-1]
-    return float(np.sqrt(max(top, 0.0)))
+    gram = np.conj(a).swapaxes(-1, -2) @ a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def _factor(a: np.ndarray, getrf) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors (lu, piv) of one square matrix by getrf.
+def resolvents(a: np.ndarray, points) -> np.ndarray:
+    """The stack of (zI - A)^{-1} over the points z, in order.
 
-    Raises Singular when the smallest pivot falls below
-    PIVOT_TOL * ||A||_F, which covers exactly singular input as well.
-    """
-    lu, piv, _ = getrf(a)
-    min_pivot = np.abs(lu.diagonal()).min()
-    if min_pivot <= PIVOT_TOL * np.linalg.norm(a):
-        raise Singular(f"pivot {min_pivot:.3e} below threshold")
-    return lu, piv
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B by LU with partial pivoting; Singular below the pivot guard."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"solve shapes {a.shape} and {b.shape}")
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
-    lu, piv = _factor(a, getrf)
-    return getrs(lu, piv, b)[0]
-
-
-def resolvent_norms(a: np.ndarray, points) -> np.ndarray:
-    """||(zI - A)^{-1}|| at each point z, over one stack of zI - A.
-
-    Each matrix is factored and pivot-checked as solve does (the first
-    point numerically on the spectrum raises Singular), then overwritten by
-    its inverse from getrs against I. One stacked Gram product and eigvalsh
-    give the norms as spectral_norm does, bit for bit. Memory is about three
-    stacks of len(points) n x n matrices; callers chunk the points.
+    Each zI - A is factored by getrf and raises Singular when its smallest
+    pivot falls below PIVOT_TOL * ||zI - A||_F, which covers exactly
+    singular input as well; the first such point stops the stack. getrs
+    against I then overwrites the matrix by its inverse. Memory is one stack
+    of len(points) n x n matrices; callers chunk the points.
     """
     a = np.asarray(a, dtype=np.complex128)
     z = np.asarray(points, dtype=np.complex128).ravel()
@@ -90,10 +65,12 @@ def resolvent_norms(a: np.ndarray, points) -> np.ndarray:
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
     inv = z[:, None, None] * eye - a
     for k, m in enumerate(inv):
-        lu, piv = _factor(m, getrf)
+        lu, piv, _ = getrf(m)
+        min_pivot = np.abs(lu.diagonal()).min()
+        if min_pivot <= PIVOT_TOL * np.linalg.norm(m):
+            raise Singular(f"pivot {min_pivot:.3e} below threshold")
         inv[k] = getrs(lu, piv, eye)[0]
-    gram = np.conj(inv).transpose(0, 2, 1) @ inv
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return inv
 
 
 def block2x2(a11, a12, a21, a22) -> np.ndarray:

@@ -269,7 +269,8 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
 
     Accepts either the full operator bundle (matrix, spectrum, unitary, d)
     or a bare matrix object with an explicit "spectrum" field; non-normal
-    candidates without a spectrum cannot be admitted.
+    candidates without a spectrum cannot be admitted. An inconsistent file,
+    such as one whose spectrum lacks an eigenvalue per row, raises ParseError.
     """
     obj = serialize.read_json(path)
     if not isinstance(obj, dict):
@@ -292,8 +293,8 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
     else:
         raise ParseError("unrecognized operator file layout")
 
-    certificate = g1gen.certify_core(matrix, spectrum, circle_samples)
     try:
+        certificate = g1gen.certify_core(matrix, spectrum, circle_samples)
         return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,
                           d=d, certificate=certificate)
     except ValueError as exc:

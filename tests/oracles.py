@@ -1,11 +1,12 @@
-"""Independent oracles for the numerical radius, the conjugate function and
-the G1 certificate, used only by the tests."""
+"""Independent oracles for the numerical radius, Herglotz functions, the
+conjugate function, LU solves and the G1 certificate, used only by the tests."""
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize_scalar
 
 from g1rad import g1gen, linalg
-from g1rad.errors import ConfigError
+from g1rad.errors import ConfigError, DimensionMismatch, DomainError, Singular
 
 
 def numradius_lower_bound(a, samples: int, seed: int) -> float:
@@ -58,6 +59,30 @@ def numradius_dense(a, samples: int = 4096, polish: int = 3) -> float:
     return best
 
 
+def solve(a, b) -> np.ndarray:
+    """Solve A X = B by one LU with partial pivoting, pivot-guarded as
+    linalg.resolvents is: the per-point reference for that stacked kernel."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"solve shapes {a.shape} and {b.shape}")
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a, b))
+    lu, piv, _ = getrf(a)
+    min_pivot = np.abs(lu.diagonal()).min()
+    if min_pivot <= linalg.PIVOT_TOL * np.linalg.norm(a):
+        raise Singular(f"pivot {min_pivot:.3e} below threshold")
+    return getrs(lu, piv, b)[0]
+
+
+def eval_herglotz(f, z) -> complex:
+    """f(z) at a point strictly inside the unit disk, summed atom by atom."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise DomainError(f"|z| = {abs(z):.6f} is not inside the unit disk")
+    e = np.exp(1j * f.angles)
+    return complex(sum(w * (ej + z) / (ej - z) for ej, w in zip(e, f.weights)))
+
+
 def apply_direct(f, a) -> np.ndarray:
     """Exact discrete-measure evaluation sum_j w_j (e^{i a_j} + A)(e^{i a_j} - A)^{-1}."""
     a = linalg.as_matrix(a)
@@ -65,7 +90,7 @@ def apply_direct(f, a) -> np.ndarray:
     out = np.zeros_like(a)
     for alpha, weight in zip(f.angles, f.weights):
         e = np.exp(1j * alpha)
-        out = out + weight * linalg.solve(e * eye - a, e * eye + a)
+        out = out + weight * solve(e * eye - a, e * eye + a)
     return out
 
 
@@ -80,13 +105,13 @@ def fbar_direct(f, a) -> np.ndarray:
     out = np.zeros_like(adj)
     for alpha, weight in zip(f.angles, f.weights):
         e = np.exp(-1j * alpha)
-        out = out + weight * linalg.solve(e * eye - adj, e * eye + adj)
+        out = out + weight * solve(e * eye - adj, e * eye + adj)
     return out
 
 
 def _resolvent_norm(a, z) -> float:
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    return linalg.spectral_norm(linalg.solve(complex(z) * eye - a, eye))
+    return linalg.spectral_norm(solve(complex(z) * eye - a, eye))
 
 
 def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:

@@ -134,7 +134,7 @@ def test_criterion_4_functional_calculus_cross_validation():
         n = 2 + trial % 7
         op = g1gen.random_g1(61_000 + trial, n, 0.8)
         f = funcalc.random_herglotz(62_000 + trial, 8)
-        via_diag = funcalc.apply_normal(f, op.unitary, op.spectrum)
+        via_diag = funcalc.apply_normal(f, op)
         via_contour = funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes=512)
         worst_gap = max(worst_gap, float(np.linalg.norm(via_diag - via_contour)))
     agreement_ok = worst_gap <= 1e-8
@@ -148,7 +148,9 @@ def test_criterion_4_functional_calculus_cross_validation():
         lam = op.spectrum * (rng.uniform(0.65, 0.7) / np.max(np.abs(op.spectrum)))
         a = (op.unitary * lam) @ op.unitary.conj().T
         f = funcalc.random_herglotz(65_000 + trial, 8)
-        exact = funcalc.apply_normal(f, op.unitary, lam)
+        scaled = g1gen.G1Operator(matrix=a, spectrum=lam, unitary=op.unitary,
+                                  d=g1gen.boundary_distance(lam))
+        exact = funcalc.apply_normal(f, scaled)
         err_128 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=128) - exact)
         err_512 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=512) - exact)
         worst_factor = min(worst_factor, err_128 / max(err_512, 1e-300))

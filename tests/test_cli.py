@@ -68,6 +68,13 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--dims", ""), ("--suites", ",")])
+def test_verify_rejects_an_empty_list(capsys, flag, value):
+    code, _, err = run_cli(capsys, "verify", flag, value, "--trials", "1")
+    assert code == 2
+    assert "error" in err
+
+
 def test_verify_rejects_bad_rho(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suites", "lemma21a",
                          "--dims", "2", "--trials", "1", "--rho-max", "1.5")
@@ -126,6 +133,22 @@ def test_certify_reports_a_failed_certificate_before_a_wrong_d(tmp_path, capsys)
     code, _, err = run_cli(capsys, "certify", "--input", str(path))
     assert code == 1
     assert "certification failed" in err
+
+
+@pytest.mark.parametrize("layout", ["bare", "bundle"])
+def test_certify_rejects_a_short_spectrum_as_malformed(tmp_path, capsys, layout):
+    # one eigenvalue for a 2x2 matrix: a malformed file, not a failed certificate
+    matrix = serialize.matrix_to_json(np.diag([0.5, -0.3]).astype(complex))
+    spectrum = [[0.5, 0.0]]
+    if layout == "bare":
+        obj = dict(matrix, spectrum=spectrum)
+    else:
+        obj = {"matrix": matrix, "spectrum": spectrum, "unitary": None, "d": 0.5}
+    path = tmp_path / f"short-{layout}.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 2
+    assert "inconsistent operator file" in err
 
 
 # g1rad certify stdout, to the byte, for the operator files that the bench's
@@ -210,6 +233,13 @@ def test_import_keeps_a_blas_thread_setting():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3", MKL_NUM_THREADS="4")
     assert _blas_env_after_import(env) == ["2", "3", "4"]
+
+
+def test_all_names_exist_once():
+    import g1rad
+
+    assert len(set(g1rad.__all__)) == len(g1rad.__all__)
+    assert [name for name in g1rad.__all__ if not hasattr(g1rad, name)] == []
 
 
 def test_verify_exit_code_on_failed_check(monkeypatch, capsys):
