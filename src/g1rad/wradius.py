@@ -19,14 +19,19 @@ polished by a safeguarded Newton iteration on lambda_max(theta) inside the
 two grid cells around it: lambda' = v* H' v (Hellmann-Feynman), lambda''
 from the same eigendecomposition, the bracket shrinks by the sign of
 lambda', and a Newton step that would not stay inside the bracket or does
-not come from a concave model is replaced by bisection. The returned value
-is the largest eigenvalue met along the way, and the witness is its
-eigenvector, so the value is always achieved: a certified lower bound on
-w(A).
+not come from a concave model is replaced by bisection. Each Newton step
+makes one stacked eigh over the live candidates; after it, each candidate's
+step is two small products for V* H' v followed by Python float arithmetic
+(derivatives, bracket, step and retire tests), so a candidate's bits do not
+depend on the stack and results are the same at any GRID_BYTES chunking.
+The returned value is the largest eigenvalue met along the way, and the
+witness is its eigenvector, so the value is always achieved: a certified
+lower bound on w(A).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +76,7 @@ def _cell_bounds(coarse: np.ndarray, width: float) -> np.ndarray:
     at the apex w = u + iv, whose support on the cell is |w| cos(t + arg w),
     |t| <= width / 2.
     """
-    lo, hi = coarse, np.roll(coarse, -1)
+    lo, hi = coarse, np.concatenate((coarse[1:], coarse[:1]))
     c, s = np.cos(0.5 * width), np.sin(0.5 * width)
     u, v = (lo + hi) / (2.0 * c), (lo - hi) / (2.0 * s)
     apex = np.where(u * s >= np.abs(v) * c, np.hypot(u, v), -np.inf)
@@ -104,47 +109,54 @@ def _grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray:
     return grid_vals
 
 
-def _refine(re, im, centers: np.ndarray, half_width: float, fro: float):
+def _refine(re, im, centers: list[float], half_width: float, fro: float):
     """Safeguarded Newton ascent of lambda_max from each center.
 
-    Returns each candidate's best (value, theta, eigenvector) over its
-    iterates; the first iterate is the center itself.
+    Each step makes one stacked eigh over the live candidates. Then, one
+    candidate at a time, g = V* H'(theta) v comes from two small products and
+    the rest is Python float arithmetic on the candidate's own eigenpairs:
+    lambda' and lambda'' (dropping couplings across a gap of at most
+    TIE_TOL ||A||_F), the bracket, the step and the retire tests. Returns
+    each candidate's best (value, theta, eigenvector) over its iterates; the
+    first iterate is the center itself.
     """
-    best_val = np.full(len(centers), -np.inf)
-    best_th = centers.copy()
-    best_vec = np.empty((len(centers), re.shape[0]), dtype=np.complex128)
-    live = np.arange(len(centers))
-    th, lo, hi = centers, centers - half_width, centers + half_width
+    n = re.shape[0]
+    tie = TIE_TOL * fro
+    # Re A v and Im A v of a candidate in one product
+    parts = np.concatenate((re, im))
+    best = [(-math.inf, theta, None) for theta in centers]
+    live = [(k, theta, theta - half_width, theta + half_width) for k, theta in enumerate(centers)]
     for _ in range(_MAX_STEPS):
-        if not live.size:
+        if not live:
             break
-        evals, vecs = np.linalg.eigh(_pencil(re, im, th))
-        lam, v = evals[:, -1], vecs[:, :, -1]
-        better = lam > best_val[live]
-        best_val[live[better]] = lam[better]
-        best_th[live[better]] = th[better]
-        best_vec[live[better]] = v[better]
+        evals, vecs = np.linalg.eigh(_pencil(re, im, np.array([th for _, th, _, _ in live])))
+        moving = []
+        for (k, th, lo, hi), lams, basis in zip(live, evals.tolist(), vecs):
+            lam, v = lams[-1], basis[:, -1]
+            if lam > best[k][0]:
+                # a copy, so the best vector does not keep the step's stack alive
+                best[k] = (lam, th, v.copy())
 
-        # g_k = v_k* H'(theta) v with H' = -sin(theta) Re A - cos(theta) Im A.
-        # One (1, n) product per candidate: its bits do not depend on the stack size.
-        vk = v[:, None, :]
-        dv = -(np.sin(th)[:, None] * (vk @ re.T)[:, 0] + np.cos(th)[:, None] * (vk @ im.T)[:, 0])
-        g = np.einsum("kij,ki->kj", vecs.conj(), dv)
-        d1 = g[:, -1].real
-        gaps = lam[:, None] - evals[:, :-1]
-        coupling = np.divide(np.abs(g[:, :-1]) ** 2, gaps, out=np.zeros_like(gaps),
-                             where=gaps > TIE_TOL * fro)
-        d2 = 2.0 * coupling.sum(axis=1) - lam
+            # g = V* H'(theta) v with H' = -sin(theta) Re A - cos(theta) Im A
+            s, c = math.sin(th), math.cos(th)
+            re_v, im_v = ((parts @ v).reshape(2, n) @ basis.conj()).tolist()
+            g = [-(s * x + c * y) for x, y in zip(re_v, im_v)]
+            d1 = g[-1].real
+            coupling = sum(abs(gj) ** 2 / (lam - mu)
+                           for gj, mu in zip(g, lams[:-1]) if lam - mu > tie)
+            d2 = 2.0 * coupling - lam
 
-        lo = np.where(d1 > 0, th, lo)
-        hi = np.where(d1 < 0, th, hi)
-        newton = th - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0)
-        inside = (d2 < 0) & (newton > lo) & (newton < hi)
-        nxt = np.where(inside, newton, 0.5 * (lo + hi))
-        moving = ((np.abs(nxt - th) > REFINE_TOL) & (hi - lo > REFINE_TOL)
-                  & (np.abs(d1) > TIE_TOL * fro))
-        live, th, lo, hi = live[moving], nxt[moving], lo[moving], hi[moving]
-    return best_val, best_th, best_vec
+            if d1 > 0:
+                lo = th
+            elif d1 < 0:
+                hi = th
+            nxt = 0.5 * (lo + hi)
+            if d2 < 0 and lo < th - d1 / d2 < hi:
+                nxt = th - d1 / d2
+            if abs(nxt - th) > REFINE_TOL and hi - lo > REFINE_TOL and abs(d1) > tie:
+                moving.append((k, nxt, lo, hi))
+        live = moving
+    return best
 
 
 def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
@@ -170,15 +182,21 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     grid_vals = _grid(re, im, grid_points, fro, rows)
     grid_best = float(np.nanmax(grid_vals))
 
-    local_max = (grid_vals >= np.roll(grid_vals, 1)) & (grid_vals >= np.roll(grid_vals, -1))
+    around = np.concatenate((grid_vals[-1:], grid_vals, grid_vals[:1]))
+    local_max = (grid_vals >= around[:-2]) & (grid_vals >= around[2:])
     viable = grid_vals >= grid_best - max(fro * step, TIE_TOL)
-    centers = step * np.nonzero(local_max & viable)[0]
-    parts = [_refine(re, im, centers[s:s + rows], step, fro)
-             for s in range(0, len(centers), rows)]
-    vals, thetas, vecs = (np.concatenate(p) for p in zip(*parts))
+    centers = [step * k for k in np.flatnonzero(local_max & viable).tolist()]
+    found = [best for s in range(0, len(centers), rows)
+             for best in _refine(re, im, centers[s:s + rows], step, fro)]
 
-    wrapped = np.mod(thetas, 2.0 * np.pi)
-    wrapped = np.where(wrapped >= 2.0 * np.pi, 0.0, wrapped)
-    tied = vals >= vals.max() - TIE_TOL
-    pick = int(np.argmin(np.where(tied, wrapped, np.inf)))
-    return RadiusResult(float(vals[pick]), float(wrapped[pick]), vecs[pick].copy(), grid_points)
+    top = max(value for value, _, _ in found)
+    # the smallest tied angle in [0, 2 pi) wins; a tiny negative angle that
+    # wraps to 2 pi itself counts as 0
+    ties = []
+    for k, (value, theta, _) in enumerate(found):
+        if value >= top - TIE_TOL:
+            wrapped = theta % (2.0 * math.pi)
+            ties.append((wrapped if wrapped < 2.0 * math.pi else 0.0, k))
+    wrapped, pick = min(ties)
+    value, _, witness = found[pick]
+    return RadiusResult(value, wrapped, witness, grid_points)

@@ -212,6 +212,14 @@ def test_as_matrix_rejects_nan():
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                   complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_as_matrix_rejects_a_non_finite_real_or_imaginary_part(entry):
+    # the other part of the entry is finite, so each part is checked
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        linalg.as_matrix(np.array([[1.0, 0.0], [entry, 1.0]], dtype=complex))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
 def test_norm_submultiplicative(seed, n):

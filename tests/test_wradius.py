@@ -1,5 +1,6 @@
 """Tests for the numerical radius engine against the oracles in tests/oracles.py."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,6 +92,54 @@ def test_witness_certifies_value():
         assert achieved == pytest.approx(result.value, abs=1e-9)
         assert np.linalg.norm(result.witness) == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= result.theta_star < 2.0 * np.pi
+
+
+def golden_inputs():
+    """Seeded inputs: 17 random matrices of n = 2..16, two [[0, X], [Y, 0]]
+    blocks and one strictly upper-triangular matrix."""
+    rng = np.random.default_rng(61)
+    for _ in range(17):
+        yield random_complex(rng, int(rng.integers(2, 17)))
+    for n in (3, 4):
+        zero = np.zeros((n, n), dtype=complex)
+        yield linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero)
+    yield np.triu(random_complex(rng, 6), 1)
+
+
+# w(A) of golden_inputs() from the refinement in array arithmetic that the
+# Python-float refinement replaced
+GOLDEN = [
+    4.852061665155888,
+    4.613270515520759,
+    7.776579109102523,
+    6.6055314680980395,
+    4.450735090714247,
+    3.079617283685431,
+    6.971108098448588,
+    3.962858455200961,
+    7.520145037437134,
+    6.078447232446359,
+    4.625335278572704,
+    7.457840419122207,
+    4.795083002836626,
+    3.3090247681463363,
+    2.6745368437350447,
+    8.078217163502044,
+    6.681878772806501,
+    2.926096940867803,
+    2.6974735536802736,
+    1.6394032680979462,
+]
+
+
+def test_golden_values():
+    inputs = list(golden_inputs())
+    assert len(inputs) == len(GOLDEN)
+    for a, want in zip(inputs, GOLDEN):
+        result = wradius.numerical_radius(a)
+        assert result.value == pytest.approx(want, rel=1e-13)
+        achieved = abs(np.conj(result.witness) @ (a @ result.witness))
+        assert achieved == pytest.approx(result.value, rel=1e-12)
 
 
 def test_sandwich_bounds():
@@ -235,6 +284,30 @@ def test_eigensolves_per_call(monkeypatch):
             assert len(calls) <= 6
             # the full half-turn grid alone is 360 matrices
             assert sum(size for _, size in calls) <= 128
+
+    # W([[0, X], [Y, 0]]) = -W, so the two angles of a tied pair are refined
+    # together: one eigh per Newton step over both candidates, not one per
+    # candidate, and every candidate step (one sine each) in exactly one stack
+    sines = []
+    sin = math.sin
+
+    def counted_sin(x):
+        sines.append(x)
+        return sin(x)
+
+    monkeypatch.setattr(math, "sin", counted_sin)
+    for n in (2, 3, 4, 8):
+        zero = np.zeros((n, n), dtype=complex)
+        for _ in range(4):
+            calls.clear()
+            sines.clear()
+            wradius.numerical_radius(
+                linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero))
+            steps = [size for name, size in calls if name == "eigh"]
+            assert steps[0] == 2
+            assert steps == sorted(steps, reverse=True)
+            assert sum(steps) == len(sines)
+            assert len(calls) <= 6
 
 
 def full_grid(a, grid_points):
