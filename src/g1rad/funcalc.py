@@ -15,7 +15,7 @@ against a direct conjugate-kernel summation kept in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,31 +29,37 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class HerglotzFunction:
-    """Atomic boundary measure: angles in [0, 2pi) and weights summing to 1."""
+    """Atomic boundary measure: angles in [0, 2pi) and weights summing to 1.
+
+    Every check is written as "not (value within bounds)", so a NaN angle or
+    weight fails it. The atoms e^{i a_j} are computed once, here.
+    """
 
     angles: np.ndarray
     weights: np.ndarray
+    phases: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=np.float64).ravel()
         weights = np.asarray(self.weights, dtype=np.float64).ravel()
         if angles.size < 1 or angles.shape != weights.shape:
             raise ValueError("need k >= 1 atoms with matching angle/weight lists")
-        if np.any(angles < 0.0) or np.any(angles >= TWO_PI):
+        if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
             raise ValueError("angles must lie in [0, 2pi)")
-        if np.any(weights < 0.0):
+        if not (weights.min() >= 0.0):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not (abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "phases", np.exp(1j * angles))
 
 
 def _kernel_sum(f: HerglotzFunction, z):
     """Weighted Herglotz kernel sum, broadcast over an array of points."""
-    z = np.asarray(z, dtype=np.complex128)
-    e = np.exp(1j * f.angles)
-    return np.sum(f.weights * (e + z[..., None]) / (e - z[..., None]), axis=-1)
+    z = np.asarray(z, dtype=np.complex128)[..., None]
+    e = f.phases
+    return np.sum(f.weights * (e + z) / (e - z), axis=-1)
 
 
 def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:

@@ -11,9 +11,11 @@ matrices, so its memory stays bounded whatever n and the sample count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from . import linalg
 from .errors import CertificationFailed, ConfigError, SpectrumOnBoundary
@@ -28,15 +30,30 @@ RING_RADII = (0.05, 0.1, 0.2)
 # Bytes of stacked n x n matrices per chunk of the certify sweep. The
 # sweep holds a few such stacks at once.
 _SWEEP_BYTES = 256 << 10
+# Householder QR of the Haar sampler: geqrf factors, ungqr forms Q. They are
+# the LAPACK routines behind np.linalg.qr, without its Python overhead, and
+# the tests hold their Q and R to its bits.
+_GEQRF, _UNGQR = get_lapack_funcs(("geqrf", "ungqr"), dtype=np.complex128)
+
+
+def _fro(m: np.ndarray) -> float:
+    """Frobenius norm, as sqrt(Re <m, m>)."""
+    return math.sqrt(np.vdot(m, m).real)
 
 
 def boundary_distance(spectrum) -> float:
-    """min_i (1 - |lambda_i|), the distance from the unit circle to the spectrum."""
+    """min_i (1 - |lambda_i|), the distance from the unit circle to the spectrum.
+
+    Computed as 1 - max_i |lambda_i|, which is the same double: rounding
+    1 - x is monotone in x. A NaN or infinite eigenvalue raises ValueError.
+    """
     lam = np.asarray(spectrum, dtype=np.complex128).ravel()
     if lam.size == 0:
         raise ValueError("spectrum must be non-empty")
-    margins = 1.0 - np.abs(lam)
-    smallest = float(margins.min())
+    largest = float(np.abs(lam).max())
+    if not math.isfinite(largest):
+        raise ValueError("eigenvalues must be finite")
+    smallest = 1.0 - largest
     if smallest <= BOUNDARY_GUARD:
         raise SpectrumOnBoundary(f"eigenvalue within {BOUNDARY_GUARD} of the unit circle")
     return smallest
@@ -51,7 +68,8 @@ class G1Operator:
     case a growth-condition certificate is required. A certificate, when
     given, must be <= CERT_THRESHOLD whether or not a unitary is present; it
     is checked first, so a failing certificate is reported as such even when
-    the rest of the bundle is inconsistent too.
+    the rest of the bundle is inconsistent too. Every check is written as
+    "not (value <= tolerance)", so a NaN value fails it.
     """
 
     matrix: np.ndarray
@@ -61,7 +79,7 @@ class G1Operator:
     certificate: float | None = field(default=None)
 
     def __post_init__(self):
-        if self.certificate is not None and self.certificate > CERT_THRESHOLD:
+        if self.certificate is not None and not (self.certificate <= CERT_THRESHOLD):
             raise CertificationFailed(
                 f"growth-condition certificate {self.certificate:.6e} exceeds {CERT_THRESHOLD}"
             )
@@ -70,18 +88,19 @@ class G1Operator:
         n = matrix.shape[0]
         if lam.size != n:
             raise ValueError(f"{lam.size} eigenvalues for a {n}x{n} matrix")
-        if abs(self.d - boundary_distance(lam)) > D_TOL:
+        if not (abs(self.d - boundary_distance(lam)) <= D_TOL):
             raise ValueError("d does not match min(1 - |lambda|)")
         if self.unitary is not None:
             u = linalg.as_matrix(self.unitary)
-            if np.linalg.norm(linalg.adjoint(u) @ u - np.eye(n)) > linalg.UNITARY_TOL:
+            u_adj = linalg.adjoint(u)
+            gram = u_adj @ u
+            gram.reshape(-1)[::n + 1] -= 1.0  # U*U - I, in place on the diagonal
+            if not (_fro(gram) <= linalg.UNITARY_TOL):
                 raise ValueError("diagonalizer is not unitary within tolerance")
-            recon = (u * lam) @ linalg.adjoint(u)
-            if np.linalg.norm(recon - matrix) > RECONSTRUCTION_TOL:
+            if not (_fro((u * lam) @ u_adj - matrix) <= RECONSTRUCTION_TOL):
                 raise ValueError("matrix does not match U diag(spectrum) U*")
             adj = linalg.adjoint(matrix)
-            commutator = adj @ matrix - matrix @ adj
-            if np.linalg.norm(commutator) > NORMALITY_TOL * np.linalg.norm(matrix) ** 2:
+            if not (_fro(adj @ matrix - matrix @ adj) <= NORMALITY_TOL * _fro(matrix) ** 2):
                 raise ValueError("matrix is not normal within tolerance")
             object.__setattr__(self, "unitary", u)
         elif self.certificate is None:
@@ -95,22 +114,27 @@ class G1Operator:
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
+    """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R diagonal.
+
+    geqrf leaves R on and above the diagonal of its output, so diag(R) is
+    read from there; ungqr turns the reflectors below it into Q.
+    """
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
-    return q * phases
+    qr, tau, _, _ = _GEQRF(z)
+    q, _, _ = _UNGQR(qr, tau)
+    diag = qr.diagonal()
+    size = np.abs(diag)
+    return q * np.where(size > 0.0, diag / size, 1.0)
 
 
 def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     """k points uniform on the unit disk, by rejection from the bounding square."""
-    out: list[complex] = []
-    while len(out) < k:
-        xy = rng.uniform(-1.0, 1.0, size=(max(2 * (k - len(out)), 8), 2))
-        keep = xy[:, 0] ** 2 + xy[:, 1] ** 2 <= 1.0
-        out.extend((xy[keep, 0] + 1j * xy[keep, 1]).tolist())
-    return np.asarray(out[:k], dtype=np.complex128)
+    out = np.empty(0, dtype=np.complex128)
+    while out.size < k:
+        x, y = rng.uniform(-1.0, 1.0, size=(max(2 * (k - out.size), 8), 2)).T
+        keep = x ** 2 + y ** 2 <= 1.0
+        out = np.concatenate((out, x[keep] + 1j * y[keep]))
+    return out[:k]
 
 
 def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:

@@ -1,5 +1,6 @@
 """Independent oracles for the numerical radius, Herglotz functions, the
-conjugate function, LU solves and the G1 certificate, used only by the tests."""
+conjugate function, LU solves, Haar sampling and the G1 certificate, used
+only by the tests."""
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -107,6 +108,18 @@ def fbar_direct(f, a) -> np.ndarray:
         e = np.exp(-1j * alpha)
         out = out + weight * solve(e * eye - adj, e * eye + adj)
     return out
+
+
+def haar_unitary_qr(rng: np.random.Generator, n: int) -> np.ndarray:
+    """g1gen.haar_unitary through np.linalg.qr, from the same two draws.
+
+    The LAPACK geqrf/ungqr route must give the same unitary bit for bit.
+    """
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
+    return q * phases
 
 
 def _resolvent_norm(a, z) -> float:

@@ -151,6 +151,18 @@ def test_certify_rejects_a_short_spectrum_as_malformed(tmp_path, capsys, layout)
     assert "inconsistent operator file" in err
 
 
+def test_certify_rejects_a_nan_d(tmp_path, capsys):
+    # NaN compares false with everything, so each tolerance check must fail on it
+    obj = serialize.g1operator_to_json(g1gen.random_g1(seed=2, n=3, rho_max=0.8))
+    obj["d"] = float("nan")
+    path = tmp_path / "nan-d.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "inconsistent operator file" in err
+
+
 # g1rad certify stdout, to the byte, for the operator files that the bench's
 # certify-files workload writes at its default seed
 CERTIFY_GOLDEN = {

@@ -1,5 +1,7 @@
 """Tests for Herglotz functions and the two matrix-calculus routes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -84,6 +86,40 @@ def test_herglotz_validation():
         HerglotzFunction(np.array([0.0, 1.0]), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         HerglotzFunction(np.array([7.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="angles"):
+        HerglotzFunction([np.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="weights"):
+        HerglotzFunction([0.5, 1.0], [np.nan, 0.5])
+
+
+# SHA-256 over seeds (0, 42, 987654321) of random_herglotz(seed, atoms): the
+# bytes of angles and weights, recorded before the atoms e^{i a_j} were
+# cached on the function
+RANDOM_HERGLOTZ_SHA256 = {
+    1: "571b7272458c59eb7e03b46a641b77629bd7d152d9ad632a41bdaeecbb7a9240",
+    2: "020732d56420a592c69e4dd6fd8f7432de81cd39ab32101fb7a9d7b6fa76de9a",
+    3: "afd5c24591133cd959b6221aff2ecef9c5840259deeec6ffe40ebd1c0d24ca74",
+    4: "a1fda2ac8de3325e3a8c78c6017b3846f9bbe208fc01ae7f25ec112ae5d5f5a5",
+    5: "9f31b0125967010a9edcd472ee55f767357f8137f229bef20b79baedc27d760a",
+    6: "4bd4272a6f9061d680649c04f342e3451f50752574d8cdfb96d8ec442a488403",
+    7: "0fe074ee93aa28a52856073b8a3004fddb81d96d607fe28fffcfd92e4e712e88",
+    8: "4072d2f5b4955e525936d5c8678631e2596831e15fc2304d97dd39629548ac64",
+}
+
+
+@pytest.mark.parametrize("atoms", sorted(RANDOM_HERGLOTZ_SHA256))
+def test_random_herglotz_draws_are_pinned(atoms):
+    digest = hashlib.sha256()
+    for seed in (0, 42, 987654321):
+        f = funcalc.random_herglotz(seed, atoms)
+        digest.update(f.angles.tobytes())
+        digest.update(f.weights.tobytes())
+    assert digest.hexdigest() == RANDOM_HERGLOTZ_SHA256[atoms]
+
+
+def test_cached_phases_are_the_atoms():
+    f = funcalc.random_herglotz(44, 5)
+    assert f.phases.tobytes() == np.exp(1j * f.angles).tobytes()
 
 
 def test_apply_normal_zero_spectrum_gives_identity():

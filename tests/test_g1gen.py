@@ -1,5 +1,7 @@
 """Tests for operator generation, boundary distance, and certification."""
 
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,20 @@ def test_boundary_distance_two_points():
 def test_boundary_distance_guard_band():
     with pytest.raises(SpectrumOnBoundary):
         g1gen.boundary_distance([0.999999999999])
+
+
+def test_boundary_distance_rejects_non_finite_eigenvalues():
+    for lam in ([np.nan], [0.5, np.nan], [complex(0.1, np.inf)]):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            g1gen.boundary_distance(lam)
+
+
+def test_boundary_distance_is_the_smallest_margin_bit_for_bit():
+    # 1 - max|lambda| against min(1 - |lambda|): rounding 1 - x is monotone
+    rng = np.random.default_rng(52)
+    for k in range(1, 40):
+        lam = rng.uniform(0.0, 0.999, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        assert g1gen.boundary_distance(lam) == float((1.0 - np.abs(lam)).min())
 
 
 def test_boundary_distance_matches_grid_search():
@@ -66,6 +82,33 @@ def test_random_g1_deterministic():
     assert op1.d == op2.d
 
 
+# SHA-256 over DRAW_SEEDS of random_g1(seed, n, 0.8): the bytes of matrix,
+# spectrum, unitary and d. Recorded with np.linalg.qr in haar_unitary, on
+# x86-64 with numpy 2.4.6 and its OpenBLAS 0.3.31; another BLAS build may
+# round the products differently.
+DRAW_SEEDS = (0, 42, 987654321)
+RANDOM_G1_SHA256 = {
+    1: "ef92398ede78ed16d761858cf6143afcabf4cbb34d8a71c7147f31d44239b924",
+    2: "d4a19f7807bfca7d65de07776c95265e56c0973e7d236bec31be783ba7f13227",
+    3: "67d2c4b03bfd7e638b200dc1ad6cc7231976b2070a710579b788ded4ae72a308",
+    4: "b8527b3de0041b540f045c6800f25d5bb68252f40ec3c106726be251c3960d1d",
+    5: "64065ddf7758e4e37bd862bbf5c425fdf53421e119c1b9b1c99d28e10eb0860a",
+    6: "a6fc889a99fefba77c949efd1fb1c5eec0a1eb647a0c90c4b78546dfd92d8f28",
+    7: "9441ffb10dd56aacd8260f088cc9f09addf01148e1e22eee57cf01d7e678531a",
+    8: "3e6cbdb8012f60125d01a2ca2b20f2346edc56b4b3cad3028cc408d7545f68d2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_G1_SHA256))
+def test_random_g1_draws_are_pinned(n):
+    digest = hashlib.sha256()
+    for seed in DRAW_SEEDS:
+        op = g1gen.random_g1(seed, n, 0.8)
+        for part in (op.matrix, op.spectrum, op.unitary, np.float64(op.d)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == RANDOM_G1_SHA256[n]
+
+
 def test_random_g1_rejects_bad_rho():
     with pytest.raises(ConfigError):
         g1gen.random_g1(seed=0, n=2, rho_max=1.0)
@@ -78,6 +121,13 @@ def test_haar_unitarity():
     for n in (2, 4, 8, 16):
         u = g1gen.haar_unitary(rng, n)
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_haar_unitary_matches_numpy_qr_bit_for_bit(n):
+    for seed in range(10):
+        expected = oracles.haar_unitary_qr(np.random.default_rng(seed), n)
+        assert g1gen.haar_unitary(np.random.default_rng(seed), n).tobytes() == expected.tobytes()
 
 
 def test_resolvent_norm_scalar():
@@ -127,31 +177,86 @@ def test_boundary_resolvent_bound():
             assert resolvent_norm(op.matrix, np.exp(1j * alpha)) <= 1.0 / op.d + 1e-6
 
 
+def _operator(op, **changes):
+    fields = dict(matrix=op.matrix, spectrum=op.spectrum, unitary=op.unitary, d=op.d)
+    return g1gen.G1Operator(**dict(fields, **changes))
+
+
 def test_operator_validation_rejects_mismatched_d():
     op = g1gen.random_g1(seed=12, n=3, rho_max=0.8)
-    with pytest.raises(ValueError):
-        g1gen.G1Operator(matrix=op.matrix, spectrum=op.spectrum,
-                         unitary=op.unitary, d=op.d + 1e-3)
+    message = re.escape("d does not match min(1 - |lambda|)")
+    with pytest.raises(ValueError, match=message):
+        _operator(op, d=op.d + 1e-3)
+    _operator(op, d=op.d + 0.5 * g1gen.D_TOL)
+    with pytest.raises(ValueError, match=message):
+        _operator(op, d=op.d + 2.0 * g1gen.D_TOL)
+    with pytest.raises(ValueError, match=message):
+        _operator(op, d=np.nan)
+
+
+def test_operator_validation_rejects_a_nan_eigenvalue():
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        g1gen.G1Operator(matrix=np.diag([0.5, 0.2]), spectrum=[0.5, np.nan],
+                         unitary=np.eye(2), d=np.nan)
 
 
 def test_operator_validation_rejects_wrong_unitary():
     op = g1gen.random_g1(seed=13, n=3, rho_max=0.8)
-    with pytest.raises(ValueError):
-        g1gen.G1Operator(matrix=op.matrix, spectrum=op.spectrum,
-                         unitary=2.0 * op.unitary, d=op.d)
+    message = "diagonalizer is not unitary within tolerance"
+    with pytest.raises(ValueError, match=message):
+        _operator(op, unitary=2.0 * op.unitary)
+    for factor in (0.5, 2.0):
+        # (cU)*(cU) - I = (c^2 - 1) I, of Frobenius norm |c^2 - 1| sqrt(n)
+        scaled = np.sqrt(1.0 + factor * linalg.UNITARY_TOL / np.sqrt(3)) * op.unitary
+        deviation = np.linalg.norm(scaled.conj().T @ scaled - np.eye(3))
+        assert deviation == pytest.approx(factor * linalg.UNITARY_TOL, rel=1e-3)
+        if factor < 1.0:
+            _operator(op, unitary=scaled)
+        else:
+            with pytest.raises(ValueError, match=message):
+                _operator(op, unitary=scaled)
+
+
+def test_operator_validation_rejects_a_wrong_reconstruction():
+    op = g1gen.random_g1(seed=17, n=3, rho_max=0.8)
+    message = re.escape("matrix does not match U diag(spectrum) U*")
+    for factor in (0.5, 2.0):
+        # a shift by tI stays normal and misses U diag(spectrum) U* by t sqrt(n)
+        shifted = op.matrix + factor * g1gen.RECONSTRUCTION_TOL / np.sqrt(3) * np.eye(3)
+        if factor < 1.0:
+            _operator(op, matrix=shifted)
+        else:
+            with pytest.raises(ValueError, match=message):
+                _operator(op, matrix=shifted)
 
 
 def test_operator_validation_rejects_non_normal_without_certificate():
     with pytest.raises(CertificationFailed):
         g1gen.G1Operator(matrix=JORDAN, spectrum=np.array([0.5, 0.5]),
                          unitary=None, d=0.5)
+    # [[a, e], [0, -a]] with U = I: within e of U diag(a, -a) U*, and its
+    # commutator ||A*A - AA*||_F is about 2 sqrt(2) a e against a bound of
+    # NORMALITY_TOL ||A||_F^2 = 2 NORMALITY_TOL a^2
+    a = 2e-3
+    for factor in (0.5, 2.0):
+        e = factor * g1gen.NORMALITY_TOL * a / np.sqrt(2.0)
+        tilted = np.array([[a, e], [0.0, -a]], dtype=complex)
+        commutator = tilted.conj().T @ tilted - tilted @ tilted.conj().T
+        ratio = np.linalg.norm(commutator) / np.linalg.norm(tilted) ** 2
+        assert ratio == pytest.approx(factor * g1gen.NORMALITY_TOL, rel=1e-3)
+        bundle = dict(matrix=tilted, spectrum=[a, -a], unitary=np.eye(2), d=1.0 - a)
+        if factor < 1.0:
+            g1gen.G1Operator(**bundle)
+        else:
+            with pytest.raises(ValueError, match="matrix is not normal within tolerance"):
+                g1gen.G1Operator(**bundle)
 
 
 def test_operator_rejects_failed_certificate_even_with_unitary():
     op = g1gen.random_g1(seed=129, n=3, rho_max=0.8)
-    with pytest.raises(CertificationFailed):
-        g1gen.G1Operator(matrix=op.matrix, spectrum=op.spectrum,
-                         unitary=op.unitary, d=op.d, certificate=1.0)
+    for certificate in (1.0, np.nan):
+        with pytest.raises(CertificationFailed):
+            _operator(op, certificate=certificate)
 
 
 def test_operator_accepts_certificate_backed_candidate():
