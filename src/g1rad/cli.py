@@ -115,7 +115,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_wrad(args) -> int:
     matrix = serialize.matrix_from_json(serialize.read_json(args.input))
-    result = wradius.numerical_radius(matrix)
+    try:
+        result = wradius.numerical_radius(matrix)
+    except OverflowError:
+        print(f"error: the numerical radius of {args.input} exceeds the largest double",
+              file=sys.stderr)
+        return 2
     payload = {
         "value": result.value,
         "theta_star": result.theta_star,

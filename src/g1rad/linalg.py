@@ -55,19 +55,25 @@ def resolvents(a: np.ndarray, points) -> np.ndarray:
 
     Each zI - A is factored by getrf and raises Singular when its smallest
     pivot falls below PIVOT_TOL * ||zI - A||_F, which covers exactly
-    singular input as well; the first such point stops the stack. getrs
-    against I then overwrites the matrix by its inverse. Memory is one stack
-    of len(points) n x n matrices; callers chunk the points.
+    singular input as well; the first such point stops the stack. The
+    Frobenius norms come from one einsum over the real view of the stack,
+    which makes no temporary copy but sums in another order than
+    np.linalg.norm of one matrix, so a threshold can sit a few ulps from
+    PIVOT_TOL times that norm. getrs against I then overwrites the matrix by
+    its inverse. Memory is one stack of len(points) n x n matrices; callers
+    chunk the points.
     """
     a = np.asarray(a, dtype=np.complex128)
     z = np.asarray(points, dtype=np.complex128).ravel()
     eye = np.eye(a.shape[0], dtype=np.complex128)
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
     inv = z[:, None, None] * eye - a
-    for k, m in enumerate(inv):
+    parts = inv.view(np.float64)
+    floors = (PIVOT_TOL * np.sqrt(np.einsum("kij,kij->k", parts, parts))).tolist()
+    for k, (m, floor) in enumerate(zip(inv, floors)):
         lu, piv, _ = getrf(m)
-        min_pivot = np.abs(lu.diagonal()).min()
-        if min_pivot <= PIVOT_TOL * np.linalg.norm(m):
+        min_pivot = min(map(abs, lu.diagonal().tolist()))
+        if min_pivot <= floor:
             raise Singular(f"pivot {min_pivot:.3e} below threshold")
         inv[k] = getrs(lu, piv, eye)[0]
     return inv

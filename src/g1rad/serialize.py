@@ -79,6 +79,9 @@ def _require(obj, key, kind):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}")
     value = obj[key]
+    # JSON true/false load as bool, a subclass of int: no number field takes them
+    if isinstance(value, bool) and kind in (int, float):
+        raise ParseError(f"field {key!r} has wrong type")
     if kind is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, kind):

@@ -6,14 +6,21 @@ The computation uses the support-function identity
 
 Since H(theta + pi) = -H(theta), lambda_max(theta + pi) = -lambda_min(theta),
 so one Hermitian eigensolve per angle in [0, pi) samples an angle and its
-opposite on the uniform grid of grid_points angles (which must be even). A
-coarse pass samples every stride-th angle, about 36 per half turn. Each
-sample is a supporting line Re(e^{i theta_k} z) = lambda_k of the convex set
-W(A), so the apex of a coarse cell's two lines bounds lambda_max on that cell
-(Johnson's outer polygon). A fill pass samples every grid angle of the cells
-whose bound reaches the tie band below the best coarse sample, plus one angle
-either side; flat support functions, such as a nilpotent block's, fill every
-cell. Stacked eigensolves run in chunks of at most GRID_BYTES of matrices.
+opposite on the uniform grid of grid_points angles (which must be even).
+Each sample is a supporting line Re(e^{i theta_k} z) = lambda_k of the convex
+set W(A), so the apex of two neighbouring samples' lines bounds lambda_max on
+the cell between them (Johnson's outer polygon). The grid is sampled in
+pruning passes. The first samples every s_0-th half-turn angle, s_0 the
+largest divisor of grid_points / 2 that leaves at least 15 angles. Each later
+pass takes the largest divisor of the previous stride that is at most a
+quarter of it, down to 1 (24, 6, 1 at 720 points), and samples at that stride
+the cells of the previous stride whose bound reaches the tie band below the
+best sample so far; the last pass adds one angle either side. Flat support
+functions, such as a nilpotent block's, keep every cell. eigvalsh solves each
+matrix on its own, so an angle has the same bits whichever pass samples it,
+and every angle in the tie band is sampled: the passes decide only which
+angles below it are skipped. Stacked eigensolves run in chunks of at most
+GRID_BYTES of matrices.
 Every surviving grid-local maximum whose two neighbours were sampled is
 polished by a safeguarded Newton iteration on lambda_max(theta) inside the
 two grid cells around it: lambda' = v* H' v (Hellmann-Feynman), lambda''
@@ -26,11 +33,13 @@ step is two small products for V* H' v followed by Python float arithmetic
 depend on the stack and results are the same at any GRID_BYTES chunking.
 The returned value is the largest eigenvalue met along the way, and the
 witness is its eigenvector, so the value is always achieved: a certified
-lower bound on w(A).
+lower bound on w(A). An input whose ||A||_F overflows is evaluated as 2^-e A,
+with entries below 1 in modulus, and the value scaled back by 2^e.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,10 +52,8 @@ TIE_TOL = 1e-12
 # Bytes of stacked matrices per eigensolve, grid and refinement alike;
 # bounds the memory of a call for large n.
 GRID_BYTES = 64 << 20
-# Half-turn angles of the coarse pass.
-_COARSE = 36
 # Rounding allowance of a sampled eigenvalue and of a cell bound, per unit of
-# ||A||_F: a cell is filled when its bound reaches the tie band less this.
+# ||A||_F: a pass keeps a cell when its bound reaches the tie band less this.
 _SLACK = 64 * np.finfo(float).eps
 # Bisection alone shrinks any two-cell bracket (grid_points >= 8) below
 # REFINE_TOL in 35 steps; the cap stops Newton steps that shrink it less.
@@ -92,20 +99,39 @@ def _sample(re, im, grid_vals: np.ndarray, idx: np.ndarray, step: float, rows: i
         grid_vals[part], grid_vals[part + half] = evals[:, -1], -evals[:, 0]
 
 
+@functools.cache
+def _strides(half: int) -> tuple[int, ...]:
+    """Half-turn strides of the pruning passes, coarsest first and ending at 1.
+
+    The first is the largest divisor of half that leaves at least 15 angles;
+    each later one is the largest divisor of the one before that is at most a
+    quarter of it (1 once there is none). 360 half-turn angles give 24, 6, 1.
+    """
+    stride = max(s for s in range(1, max(1, half // 15) + 1) if half % s == 0)
+    strides = [stride]
+    while stride > 1:
+        stride = max((s for s in range(1, stride // 4 + 1) if stride % s == 0), default=1)
+        strides.append(stride)
+    return tuple(strides)
+
+
 def _grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray:
-    """lambda_max on the uniform grid; NaN at the angles the fill skipped."""
+    """lambda_max on the uniform grid; NaN at the angles the passes skipped."""
     half = grid_points // 2
-    stride = max(s for s in range(1, max(1, half // _COARSE) + 1) if half % s == 0)
     step = 2.0 * np.pi / grid_points
+    strides = _strides(half)
     grid_vals = np.full(grid_points, np.nan)
-    _sample(re, im, grid_vals, np.arange(0, half, stride), step, rows)
-    coarse = grid_vals[::stride]
-    bounds = _cell_bounds(coarse, stride * step)
-    cells = np.nonzero(bounds >= coarse.max() - TIE_TOL - _SLACK * fro)[0]
-    need = np.zeros(half, dtype=bool)
-    need[(cells[:, None] * stride + np.arange(-1, stride + 2)) % half] = True
-    need[::stride] = False
-    _sample(re, im, grid_vals, np.nonzero(need)[0], step, rows)
+    _sample(re, im, grid_vals, np.arange(0, half, strides[0]), step, rows)
+    for wide, narrow in zip(strides, strides[1:]):
+        # a cell with an unsampled end lies in a pruned cell: its bound is NaN
+        bounds = _cell_bounds(grid_vals[::wide], wide * step)
+        band = np.fmax.reduce(grid_vals) - TIE_TOL - _SLACK * fro
+        cells = (bounds >= band).nonzero()[0]
+        pad = int(narrow == 1)
+        need = np.zeros(half, dtype=bool)
+        need[(cells[:, None] * wide + np.arange(-pad, wide + pad + 1, narrow)) % half] = True
+        need[::wide] = False
+        _sample(re, im, grid_vals, need.nonzero()[0], step, rows)
     return grid_vals
 
 
@@ -165,12 +191,21 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     Grid-local maxima that cannot beat the incumbent (by the Lipschitz
     bound ||A||_F per radian) are pruned before refinement; all ties
     within TIE_TOL are refined and the smallest maximizing angle wins.
+    Raises OverflowError when w(A) exceeds the largest double.
     """
     a = linalg.as_matrix(a)
     if grid_points < 8 or grid_points % 2:
         raise ValueError("grid_points must be even and at least 8")
     n = a.shape[0]
-    fro = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        # a power-of-two rescaling keeps the bits of every entry that does not
+        # underflow; math.ldexp raises OverflowError on an infinite value
+        e = math.frexp(max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())))[1]
+        scaled = numerical_radius(math.ldexp(1.0, -e) * a, grid_points)
+        return RadiusResult(math.ldexp(scaled.value, e), scaled.theta_star, scaled.witness,
+                            grid_points)
     if fro == 0.0:
         witness = np.zeros(n, dtype=np.complex128)
         witness[0] = 1.0
@@ -180,7 +215,7 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     rows = max(1, GRID_BYTES // a.nbytes)
     step = 2.0 * np.pi / grid_points
     grid_vals = _grid(re, im, grid_points, fro, rows)
-    grid_best = float(np.nanmax(grid_vals))
+    grid_best = float(np.fmax.reduce(grid_vals))
 
     around = np.concatenate((grid_vals[-1:], grid_vals, grid_vals[:1]))
     local_max = (grid_vals >= around[:-2]) & (grid_vals >= around[2:])

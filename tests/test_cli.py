@@ -207,6 +207,40 @@ def test_wrad_prints_radius(tmp_path, capsys):
     assert doc["value"] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_wrad_near_the_largest_double(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(serialize.matrix_to_json(np.diag([1e308, -0.5e308]))))
+    code, out, _ = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(1e308, rel=1e-12)
+    # w = 2e308 is past the largest double
+    path.write_text(json.dumps(serialize.matrix_to_json(np.full((2, 2), 1e308))))
+    code, out, err = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the largest double" in err
+
+
+def test_wrad_rejects_a_boolean_dimension(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": true, "re": [[0.5]], "im": [[0]]}')
+    code, out, err = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "field 'n' has wrong type" in err
+
+
+def test_certify_rejects_a_boolean_d(tmp_path, capsys):
+    obj = serialize.g1operator_to_json(g1gen.random_g1(seed=2, n=3, rho_max=0.8))
+    obj["d"] = True
+    path = tmp_path / "bool-d.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "field 'd' has wrong type" in err
+
+
 def test_wrad_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "re": [[0]]}')

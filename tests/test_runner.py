@@ -1,5 +1,6 @@
 """Tests for the batch driver, report emission, and operator loading."""
 
+import hashlib
 import json
 import math
 import threading
@@ -193,6 +194,25 @@ def test_golden_trials_pin_the_draw_order():
         assert report.rhs == pytest.approx(rhs, rel=1e-9)
 
 
+# SHA-256 of the CSV reports of two seed-42 batches of two trials per suite and
+# dim: every suite at dims 2-4, and lemma21c-f at dims 6 and 8
+BATCH_CSV_SHA256 = {
+    ((2, 3, 4), runner.ALL_SUITES):
+        "1ce2129d1103d478c2cceaf81cf01b589deedd416cf2f90f9cbceddb2a3a526c",
+    ((6, 8), ("lemma21c", "lemma21d", "lemma21e", "lemma21f")):
+        "4d6cba39a4de4a38cd647f4285e0c7d66a09cd3c534dd882f396f57b365158f9",
+}
+
+
+@pytest.mark.parametrize("dims, suites", sorted(BATCH_CSV_SHA256))
+def test_batch_csv_reports_are_pinned(dims, suites):
+    cfg = runner.TrialConfig(master_seed=42, dims=dims, trials_per_suite=2, suites=suites,
+                             report_format="csv")
+    result = runner.run_suite(cfg)
+    text = runner.render_report(result.suites, result.details, "csv", cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == BATCH_CSV_SHA256[(dims, suites)]
+
+
 def test_every_variant_reaches_its_checker():
     cfg = runner.TrialConfig(master_seed=3)
     assert runner.ALL_SUITES == tuple(runner.SUITES)
@@ -305,3 +325,14 @@ def test_matrix_json_round_trip():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     doc = json.loads(json.dumps(serialize.matrix_to_json(a)))
     np.testing.assert_array_equal(serialize.matrix_from_json(doc), a)
+
+
+def test_number_fields_reject_json_booleans():
+    # bool is a subclass of int, so true would otherwise read as 1
+    for kind in (int, float):
+        for flag in (True, False):
+            with pytest.raises(ParseError, match="wrong type"):
+                serialize._require({"x": flag}, "x", kind)
+    assert serialize._require({"x": 1}, "x", float) == 1.0
+    with pytest.raises(ParseError, match="wrong type"):
+        serialize.matrix_from_json({"n": True, "re": [[0.5]], "im": [[0.0]]})

@@ -163,6 +163,25 @@ def test_homogeneity(seed, re, im):
     assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_homogeneity_where_the_frobenius_norm_overflows(n):
+    # the sum of squares behind ||2^520 A||_F overflows to inf
+    a = random_complex(np.random.default_rng(60 + n), n)
+    base = wradius.numerical_radius(a)
+    big = wradius.numerical_radius(2.0**520 * a)
+    assert big.value / 2.0**520 == pytest.approx(base.value, rel=1e-13)
+    assert big.theta_star == pytest.approx(base.theta_star, abs=1e-9)
+    achieved = abs(np.conj(big.witness) @ (a @ big.witness))
+    assert achieved == pytest.approx(base.value, rel=1e-12)
+
+
+def test_radius_near_the_largest_double():
+    diagonal = np.diag([1e308, -0.5e308j])
+    assert wradius.numerical_radius(diagonal).value == pytest.approx(1e308, rel=1e-12)
+    with pytest.raises(OverflowError):
+        wradius.numerical_radius(np.full((2, 2), 1e308))
+
+
 def test_adjoint_symmetry():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -270,20 +289,19 @@ def count_eigensolves(monkeypatch):
 
 def test_eigensolves_per_call(monkeypatch):
     calls = count_eigensolves(monkeypatch)
+    passes = len(wradius._strides(360))
     rng = np.random.default_rng(17)
     for n in range(2, 17):
         for _ in range(8):
             calls.clear()
             wradius.numerical_radius(random_complex(rng, n))
             names = [name for name, _ in calls]
-            # the coarse eigvalsh first, at most one fill eigvalsh right after
-            # it, then one stacked eigh per Newton step
-            assert names[0] == "eigvalsh"
-            rest = names[2:] if names[1:2] == ["eigvalsh"] else names[1:]
-            assert set(rest) == {"eigh"}
-            assert len(calls) <= 6
+            # one eigvalsh per pruning pass, then one stacked eigh per Newton step
+            assert names[:passes] == ["eigvalsh"] * passes
+            assert set(names[passes:]) == {"eigh"}
+            assert len(calls) <= 7
             # the full half-turn grid alone is 360 matrices
-            assert sum(size for _, size in calls) <= 128
+            assert sum(size for _, size in calls) <= 64
 
     # W([[0, X], [Y, 0]]) = -W, so the two angles of a tied pair are refined
     # together: one eigh per Newton step over both candidates, not one per
@@ -307,7 +325,7 @@ def test_eigensolves_per_call(monkeypatch):
             assert steps[0] == 2
             assert steps == sorted(steps, reverse=True)
             assert sum(steps) == len(sines)
-            assert len(calls) <= 6
+            assert len(calls) <= 7
 
 
 def full_grid(a, grid_points):
@@ -324,7 +342,25 @@ def bound_inputs():
     yield from (degenerate_family(kind) for kind in DEGENERATE)
 
 
-@pytest.mark.parametrize("cells", [8, 72, 144])
+def pass_cells():
+    """Cell counts of each pruning pass that bounds cells at 720 and 1440
+    points, and of the two-pass grid's coarse pass."""
+    counts = {8, 72, 144}
+    for grid_points in (720, 1440):
+        counts.update(grid_points // s for s in wradius._strides(grid_points // 2)[:-1])
+    return sorted(counts)
+
+
+def test_strides():
+    assert wradius._strides(360) == (24, 6, 1)
+    assert wradius._strides(720) == (48, 12, 3, 1)
+    # fewer than 30 half-turn angles: one whole-grid pass
+    for grid_points in (8, 10, 30):
+        assert wradius._strides(grid_points // 2) == (1,)
+    assert wradius._strides(30) == (2, 1)
+
+
+@pytest.mark.parametrize("cells", pass_cells())
 def test_cell_bound_is_sound(cells):
     # lambda_max anywhere in a cell stays below the apex bound of its two ends
     width = 2.0 * np.pi / cells
@@ -362,6 +398,30 @@ def test_fill_samples_every_angle_in_the_tie_band(grid_points):
         assert sampled[want >= want.max() - wradius.TIE_TOL].all()
 
 
+def two_pass_inputs():
+    rng = np.random.default_rng(59)
+    yield from (random_complex(rng, n) for n in range(2, 33))
+    for n in (2, 3, 4, 6, 8):
+        zero = np.zeros((n, n), dtype=complex)
+        yield linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero)
+    yield from (degenerate_family(kind) for kind in DEGENERATE)
+    yield from (tied_vertices(1e8, seed) for seed in range(24))
+
+
+@pytest.mark.parametrize("grid_points", [720, 1440])
+def test_pruning_passes_match_the_two_pass_grid(monkeypatch, grid_points):
+    # the passes skip other angles below the tie band than one coarse pass
+    # and one fill did, which must not change a bit of the result
+    for a in two_pass_inputs():
+        got = wradius.numerical_radius(a, grid_points)
+        with monkeypatch.context() as patch:
+            patch.setattr(wradius, "_grid", oracles.two_pass_grid)
+            want = wradius.numerical_radius(a, grid_points)
+        assert got.value == want.value
+        assert got.theta_star == want.theta_star
+        assert np.array_equal(got.witness, want.witness)
+
+
 @pytest.mark.parametrize("grid_points", [720, 1440])
 def test_random_inputs_match_dense_oracle(grid_points):
     rng = np.random.default_rng(53)
@@ -381,7 +441,7 @@ def test_nilpotent_block_samples_the_whole_half_turn(monkeypatch, grid_points):
 
 @pytest.mark.parametrize("grid_points", [8, 10, 30])
 def test_grids_without_a_coarse_stride(monkeypatch, grid_points):
-    # fewer than 36 half-turn angles: the coarse pass is the whole grid
+    # fewer than 30 half-turn angles: the first pass is the whole grid
     calls = count_eigensolves(monkeypatch)
     rng = np.random.default_rng(55)
     for a in (random_complex(rng, 4), degenerate_family("nilpotent"), SHIFT):
@@ -401,8 +461,8 @@ def test_fill_over_several_chunks_is_bitwise_identical(monkeypatch):
     monkeypatch.setattr(wradius, "GRID_BYTES", 3 * a.nbytes)
     calls.clear()
     got = wradius.numerical_radius(a)
-    # 12 chunks of coarse angles, then the fill in more than one chunk
-    assert [name for name, _ in calls[:14]] == ["eigvalsh"] * 14
+    # 5 chunks of the 15 first-pass angles, then 3 chunks for each later pass
+    assert [size for name, size in calls if name == "eigvalsh"] == [3] * 11
     assert got.value == want.value
     assert got.theta_star == want.theta_star
     assert np.array_equal(got.witness, want.witness)
@@ -438,6 +498,6 @@ def test_memory_stays_within_budget(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # unchunked, the nilpotent block's fill (324 of the 360 half-turn
-        # angles) alone would take 81 budgets
+        # unchunked, the nilpotent block's last pass (300 of the 360
+        # half-turn angles) alone would take 75 budgets
         assert peak <= 8 * budget
