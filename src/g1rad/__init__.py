@@ -22,7 +22,6 @@ from .errors import (
     CertificationFailed,
     ConfigError,
     DimensionMismatch,
-    DomainError,
     G1RadError,
     IoError,
     NotSelfAdjoint,
@@ -61,7 +60,6 @@ from .ineq import (
 from .linalg import (
     adjoint,
     as_matrix,
-    block2x2,
     herm_part,
     resolvents,
     skew_part,
@@ -88,7 +86,6 @@ __all__ = [
     "CertificationFailed",
     "ConfigError",
     "DimensionMismatch",
-    "DomainError",
     "G1Operator",
     "G1RadError",
     "HerglotzFunction",
@@ -105,7 +102,6 @@ __all__ = [
     "adjoint",
     "apply_normal",
     "as_matrix",
-    "block2x2",
     "boundary_distance",
     "certify_core",
     "check_cor23",

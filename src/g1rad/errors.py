@@ -17,10 +17,6 @@ class DimensionMismatch(G1RadError):
     """Raised when matrix operands have incompatible shapes."""
 
 
-class DomainError(G1RadError):
-    """Raised when an evaluation point or spectrum leaves the open unit disk."""
-
-
 class SpectrumOnBoundary(G1RadError):
     """Raised when an eigenvalue sits on (or outside) the unit circle guard band."""
 

@@ -63,11 +63,12 @@ def boundary_distance(spectrum) -> float:
 class G1Operator:
     """A matrix with known spectrum inside the unit disk and boundary distance d.
 
-    Generated operators carry their diagonalizing unitary and are validated
-    as exactly normal; file-loaded candidates may omit the unitary, in which
-    case a growth-condition certificate is required. A certificate, when
-    given, must be <= CERT_THRESHOLD whether or not a unitary is present; it
-    is checked first, so a failing certificate is reported as such even when
+    d is derived, as boundary_distance(spectrum). Generated operators carry
+    their diagonalizing unitary and are validated as exactly normal;
+    file-loaded candidates may omit the unitary, in which case a
+    growth-condition certificate is required. A certificate, when given,
+    must be <= CERT_THRESHOLD whether or not a unitary is present; it is
+    checked first, so a failing certificate is reported as such even when
     the rest of the bundle is inconsistent too. Every check is written as
     "not (value <= tolerance)", so a NaN value fails it.
     """
@@ -75,7 +76,7 @@ class G1Operator:
     matrix: np.ndarray
     spectrum: np.ndarray
     unitary: np.ndarray | None
-    d: float
+    d: float = field(init=False)
     certificate: float | None = field(default=None)
 
     def __post_init__(self):
@@ -88,8 +89,7 @@ class G1Operator:
         n = matrix.shape[0]
         if lam.size != n:
             raise ValueError(f"{lam.size} eigenvalues for a {n}x{n} matrix")
-        if not (abs(self.d - boundary_distance(lam)) <= D_TOL):
-            raise ValueError("d does not match min(1 - |lambda|)")
+        object.__setattr__(self, "d", boundary_distance(lam))
         if self.unitary is not None:
             u = linalg.as_matrix(self.unitary)
             u_adj = linalg.adjoint(u)
@@ -147,8 +147,7 @@ def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
     spectrum = rho_max * _uniform_disk(rng, n)
     unitary = haar_unitary(rng, n)
     matrix = (unitary * spectrum) @ linalg.adjoint(unitary)
-    return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,
-                      d=boundary_distance(spectrum))
+    return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary)
 
 
 def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:

@@ -74,7 +74,7 @@ def _same_dims(*mats) -> tuple:
 
 def _offdiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     zero = np.zeros_like(x)
-    return linalg.block2x2(zero, x, y, zero)
+    return np.block([[zero, x], [y, zero]])
 
 
 def _sign(sign: str) -> float:
@@ -86,7 +86,7 @@ def _sign(sign: str) -> float:
 def _f_of(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
     if op.unitary is not None:
         return funcalc.apply_normal(f, op)
-    return funcalc.riesz_dunford(f, op.matrix, op.spectrum)
+    return funcalc.riesz_dunford(f, op)
 
 
 def check_lemma21_a(a, x, seed: int = 0) -> InequalityReport:

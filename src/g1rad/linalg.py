@@ -78,11 +78,3 @@ def resolvents(a: np.ndarray, points) -> np.ndarray:
         inv[k] = getrs(lu, piv, eye)[0]
     return inv
 
-
-def block2x2(a11, a12, a21, a22) -> np.ndarray:
-    """Assemble [[A11, A12], [A21, A22]] from four equal-size square blocks."""
-    blocks = [as_matrix(x) for x in (a11, a12, a21, a22)]
-    n = blocks[0].shape[0]
-    if any(b.shape[0] != n for b in blocks[1:]):
-        raise DimensionMismatch("blocks must share one square size")
-    return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])

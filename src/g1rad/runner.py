@@ -230,11 +230,11 @@ def report_to_json(report: InequalityReport) -> dict:
     }
 
 
-def render_report(suites, details, fmt: str, config: TrialConfig | None = None) -> str:
+def render_report(suites, details, fmt: str, config: TrialConfig) -> str:
     """Render the run as a JSON document or a CSV of per-trial reports."""
     if fmt == "json":
         payload = {
-            "config": config.to_json() if config is not None else None,
+            "config": config.to_json(),
             "suites": [s.to_json() for s in suites],
             "details": [report_to_json(r) for r in details],
         }
@@ -255,7 +255,7 @@ def render_report(suites, details, fmt: str, config: TrialConfig | None = None) 
     raise ConfigError(f"report format must be 'json' or 'csv', got {fmt!r}")
 
 
-def emit_report(suites, details, fmt: str, path, config: TrialConfig | None = None) -> None:
+def emit_report(suites, details, fmt: str, path, config: TrialConfig) -> None:
     text = render_report(suites, details, fmt, config)
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -270,7 +270,9 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
     Accepts either the full operator bundle (matrix, spectrum, unitary, d)
     or a bare matrix object with an explicit "spectrum" field; non-normal
     candidates without a spectrum cannot be admitted. An inconsistent file,
-    such as one whose spectrum lacks an eigenvalue per row, raises ParseError.
+    such as one whose spectrum lacks an eigenvalue per row or whose "d" is
+    more than D_TOL from the operator's own, raises ParseError, after the
+    certificate is checked.
     """
     obj = serialize.read_json(path)
     if not isinstance(obj, dict):
@@ -282,20 +284,23 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
         unitary = None
         if obj.get("unitary") is not None:
             unitary = serialize.matrix_from_json(obj["unitary"])
-        d = float(serialize._require(obj, "d", float))
+        d = serialize._require(obj, "d", float)
     elif "re" in obj or "im" in obj or "n" in obj:
         matrix = serialize.matrix_from_json(obj)
         if "spectrum" not in obj:
             raise ParseError("bare matrix input requires an explicit spectrum field")
         spectrum = serialize.spectrum_from_json(obj["spectrum"])
         unitary = None
-        d = g1gen.boundary_distance(spectrum)
+        d = None
     else:
         raise ParseError("unrecognized operator file layout")
 
     try:
         certificate = g1gen.certify_core(matrix, spectrum, circle_samples)
-        return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,
-                          d=d, certificate=certificate)
+        op = G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,
+                        certificate=certificate)
     except ValueError as exc:
         raise ParseError(f"inconsistent operator file: {exc}") from exc
+    if d is not None and not (abs(d - op.d) <= g1gen.D_TOL):
+        raise ParseError("inconsistent operator file: d does not match min(1 - |lambda|)")
+    return op

@@ -89,6 +89,19 @@ def _require(obj, key, kind):
     return value
 
 
+def _number_rows(rows, what: str) -> np.ndarray:
+    """Rows of JSON numbers as a float64 array; np.asarray alone would read
+    "0.5" as 0.5 and true as 1.0."""
+    if not all(isinstance(row, list)
+               and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+               for row in rows):
+        raise ParseError(f"{what} entries must be JSON numbers in lists")
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"{what} entries not numeric: {exc}") from exc
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.complex128)
     return {
@@ -102,13 +115,8 @@ def matrix_from_json(obj) -> np.ndarray:
     n = _require(obj, "n", int)
     if n < 1:
         raise ParseError("matrix dimension must be positive")
-    re = _require(obj, "re", list)
-    im = _require(obj, "im", list)
-    try:
-        re_arr = np.asarray(re, dtype=np.float64)
-        im_arr = np.asarray(im, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"matrix entries not numeric: {exc}") from exc
+    re_arr = _number_rows(_require(obj, "re", list), "matrix")
+    im_arr = _number_rows(_require(obj, "im", list), "matrix")
     if re_arr.shape != (n, n) or im_arr.shape != (n, n):
         raise ParseError(f"matrix arrays must both be {n}x{n}")
     if not np.all(np.isfinite(re_arr)) or not np.all(np.isfinite(im_arr)):
@@ -124,10 +132,7 @@ def spectrum_to_json(lam: np.ndarray) -> list:
 def spectrum_from_json(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ParseError("spectrum must be a non-empty list of [re, im] pairs")
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"spectrum entries not numeric: {exc}") from exc
+    arr = _number_rows(obj, "spectrum")
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
         raise ParseError("spectrum must be a list of finite [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]

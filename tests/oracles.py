@@ -7,7 +7,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize_scalar
 
 from g1rad import g1gen, linalg, wradius
-from g1rad.errors import ConfigError, DimensionMismatch, DomainError, Singular
+from g1rad.errors import ConfigError, DimensionMismatch, Singular
 
 
 def numradius_lower_bound(a, samples: int, seed: int) -> float:
@@ -99,7 +99,7 @@ def eval_herglotz(f, z) -> complex:
     """f(z) at a point strictly inside the unit disk, summed atom by atom."""
     z = complex(z)
     if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z):.6f} is not inside the unit disk")
+        raise ValueError(f"|z| = {abs(z):.6f} is not inside the unit disk")
     e = np.exp(1j * f.angles)
     return complex(sum(w * (ej + z) / (ej - z) for ej, w in zip(e, f.weights)))
 

@@ -32,7 +32,7 @@ def random_complex(rng, n):
 def zero_operator(n):
     return g1gen.G1Operator(matrix=np.zeros((n, n), dtype=complex),
                             spectrum=np.zeros(n, dtype=complex),
-                            unitary=np.eye(n, dtype=complex), d=1.0)
+                            unitary=np.eye(n, dtype=complex))
 
 
 def test_criterion_1_lemma_suites():
@@ -135,7 +135,7 @@ def test_criterion_4_functional_calculus_cross_validation():
         op = g1gen.random_g1(61_000 + trial, n, 0.8)
         f = funcalc.random_herglotz(62_000 + trial, 8)
         via_diag = funcalc.apply_normal(f, op)
-        via_contour = funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes=512)
+        via_contour = funcalc.riesz_dunford(f, op, nodes=512)
         worst_gap = max(worst_gap, float(np.linalg.norm(via_diag - via_contour)))
     agreement_ok = worst_gap <= 1e-8
 
@@ -148,11 +148,10 @@ def test_criterion_4_functional_calculus_cross_validation():
         lam = op.spectrum * (rng.uniform(0.65, 0.7) / np.max(np.abs(op.spectrum)))
         a = (op.unitary * lam) @ op.unitary.conj().T
         f = funcalc.random_herglotz(65_000 + trial, 8)
-        scaled = g1gen.G1Operator(matrix=a, spectrum=lam, unitary=op.unitary,
-                                  d=g1gen.boundary_distance(lam))
+        scaled = g1gen.G1Operator(matrix=a, spectrum=lam, unitary=op.unitary)
         exact = funcalc.apply_normal(f, scaled)
-        err_128 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=128) - exact)
-        err_512 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=512) - exact)
+        err_128 = np.linalg.norm(funcalc.riesz_dunford(f, scaled, nodes=128) - exact)
+        err_512 = np.linalg.norm(funcalc.riesz_dunford(f, scaled, nodes=512) - exact)
         worst_factor = min(worst_factor, err_128 / max(err_512, 1e-300))
     shrink_ok = worst_factor >= 1e3
     ok = agreement_ok and shrink_ok
@@ -224,7 +223,7 @@ def test_criterion_7_g1_certification():
     gate_ok = False
     try:
         g1gen.G1Operator(matrix=JORDAN, spectrum=np.array([0.5, 0.5]),
-                         unitary=None, d=0.5, certificate=jordan_cert)
+                         unitary=None, certificate=jordan_cert)
     except CertificationFailed:
         gate_ok = True
     ok = normals_ok and jordan_ok and gate_ok

@@ -163,6 +163,32 @@ def test_certify_rejects_a_nan_d(tmp_path, capsys):
     assert "inconsistent operator file" in err
 
 
+def test_certify_checks_a_bundle_d_within_d_tol(tmp_path, capsys):
+    op = g1gen.random_g1(seed=2, n=3, rho_max=0.8)
+    obj = serialize.g1operator_to_json(op)
+    path = tmp_path / "op.json"
+    path.write_text(serialize.dumps(dict(obj, d=op.d + 2.0 * g1gen.D_TOL)))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "d does not match" in err
+    path.write_text(serialize.dumps(dict(obj, d=op.d + 0.5 * g1gen.D_TOL)))
+    code, out, _ = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["d"] == op.d
+
+
+@pytest.mark.parametrize("spectrum", ['[["0.5", 0], [0.2, 0]]', '[[0.5, 0], [0.2, false]]',
+                                      '[[0.5, 0], [0.2, 1e999999]]', '[[0.5, 0], [0.2, 0, 0]]',
+                                      '[[0.5, 0], 0.2]'])
+def test_certify_rejects_a_spectrum_entry_that_is_not_a_number(tmp_path, capsys, spectrum):
+    path = tmp_path / "bare.json"
+    path.write_text('{"n": 2, "re": [[0.5, 0], [0, 0.2]], "im": [[0, 0], [0, 0]], '
+                    '"spectrum": %s}' % spectrum)
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # g1rad certify stdout, to the byte, for the operator files that the bench's
 # certify-files workload writes at its default seed
 CERTIFY_GOLDEN = {
@@ -228,6 +254,17 @@ def test_wrad_rejects_a_boolean_dimension(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "field 'n' has wrong type" in err
+
+
+@pytest.mark.parametrize("real", ['[["0.5"]]', "[[true]]", "[[null]]", "[[[0.5]]]", "[0.5]",
+                                  "[[" + "9" * 400 + "]]"])
+def test_wrad_rejects_an_entry_that_is_not_a_number(tmp_path, capsys, real):
+    # np.asarray(..., dtype=float64) alone reads "0.5" as 0.5 and true as 1.0
+    path = tmp_path / "entry.json"
+    path.write_text('{"n": 1, "re": %s, "im": [[0]]}' % real)
+    code, out, err = run_cli(capsys, "wrad", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix entries")
 
 
 def test_certify_rejects_a_boolean_d(tmp_path, capsys):

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 import oracles
 from g1rad import funcalc, g1gen, linalg
-from g1rad.errors import DomainError
 from g1rad.funcalc import HerglotzFunction
 
 ATOM_AT_ZERO = HerglotzFunction(np.array([0.0]), np.array([1.0]))
@@ -34,9 +33,9 @@ def test_positive_real_part_near_boundary():
 
 
 def test_eval_rejects_boundary():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="not inside the unit disk"):
         oracles.eval_herglotz(ATOM_AT_ZERO, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="not inside the unit disk"):
         oracles.eval_herglotz(ATOM_AT_ZERO, 1.2j)
 
 
@@ -127,37 +126,50 @@ def test_apply_normal_zero_spectrum_gives_identity():
     u = g1gen.haar_unitary(rng, 4)
     f = funcalc.random_herglotz(43, 8)
     op = g1gen.G1Operator(matrix=np.zeros((4, 4), dtype=complex),
-                          spectrum=np.zeros(4, dtype=complex), unitary=u, d=1.0)
+                          spectrum=np.zeros(4, dtype=complex), unitary=u)
     fa = funcalc.apply_normal(f, op)
     assert_allclose(fa, np.eye(4), atol=1e-12)
 
 
 def test_apply_normal_scalar_case():
-    op = g1gen.G1Operator(matrix=[[0.5]], spectrum=[0.5], unitary=np.eye(1, dtype=complex),
-                          d=0.5)
+    op = g1gen.G1Operator(matrix=[[0.5]], spectrum=[0.5], unitary=np.eye(1, dtype=complex))
     fa = funcalc.apply_normal(ATOM_AT_ZERO, op)
     assert_allclose(fa, [[3.0]])
 
 
+def certified(matrix, spectrum) -> g1gen.G1Operator:
+    """A certificate-only operator: no diagonalizer, as a bare operator file loads."""
+    return g1gen.G1Operator(matrix=matrix, spectrum=spectrum, unitary=None,
+                            certificate=g1gen.certify_core(matrix, spectrum))
+
+
 def test_riesz_dunford_zero_matrix():
     f = funcalc.random_herglotz(44, 8)
-    fa = funcalc.riesz_dunford(f, np.zeros((2, 2), dtype=complex), [0.0, 0.0])
+    fa = funcalc.riesz_dunford(f, certified(np.zeros((2, 2), dtype=complex), [0.0, 0.0]))
     assert np.linalg.norm(fa - np.eye(2)) <= 1e-10
 
 
 def test_riesz_dunford_scalar_case():
-    fa = funcalc.riesz_dunford(ATOM_AT_ZERO, np.array([[0.5]], dtype=complex), [0.5])
+    op = g1gen.G1Operator(matrix=[[0.5]], spectrum=[0.5], unitary=np.eye(1, dtype=complex))
+    fa = funcalc.riesz_dunford(ATOM_AT_ZERO, op)
     assert np.linalg.norm(fa - np.array([[3.0]])) <= 1e-10
 
 
 def test_riesz_dunford_node_validation():
-    with pytest.raises(ValueError):
-        funcalc.riesz_dunford(ATOM_AT_ZERO, np.zeros((2, 2), dtype=complex), [0.0, 0.0], nodes=16)
+    op = certified(np.zeros((2, 2), dtype=complex), [0.0, 0.0])
+    with pytest.raises(ValueError, match="nodes must be at least 32"):
+        funcalc.riesz_dunford(ATOM_AT_ZERO, op, nodes=16)
 
 
-def test_riesz_dunford_rejects_boundary_spectrum():
-    with pytest.raises(DomainError):
-        funcalc.riesz_dunford(ATOM_AT_ZERO, np.eye(2, dtype=complex), [1.0, 0.5])
+def test_riesz_dunford_on_a_certificate_only_operator_matches_the_direct_sum():
+    # a diagonal matrix passes the certificate without a diagonalizer, so only
+    # the contour route applies to it
+    lam = np.array([0.6, -0.3j, 0.2 + 0.1j])
+    op = certified(np.diag(lam), lam)
+    assert op.unitary is None
+    f = funcalc.random_herglotz(51, 8)
+    assert np.linalg.norm(funcalc.riesz_dunford(f, op)
+                          - oracles.apply_direct(f, op.matrix)) <= 1e-10
 
 
 def test_paths_agree_on_normal_input():
@@ -166,8 +178,22 @@ def test_paths_agree_on_normal_input():
         op = g1gen.random_g1(500 + seed, rng_dim, 0.8)
         f = funcalc.random_herglotz(600 + seed, 8)
         via_diag = funcalc.apply_normal(f, op)
-        via_contour = funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes=512)
+        via_contour = funcalc.riesz_dunford(f, op, nodes=512)
         assert np.linalg.norm(via_diag - via_contour) <= 1e-8
+
+
+# SHA-256 of riesz_dunford(f, op) over 20 random_g1 operators of n = 2-10,
+# recorded when it took (matrix, spectrum) in place of the operator
+RIESZ_DUNFORD_SHA256 = "84f19331e0c57cf9fce347a6def48aaec88410a1aef8d9b626b341e4d601587b"
+
+
+def test_riesz_dunford_bits_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        op = g1gen.random_g1(seed, 2 + seed % 9, 0.8)
+        f = funcalc.random_herglotz(100 + seed, 8)
+        digest.update(funcalc.riesz_dunford(f, op, nodes=512).tobytes())
+    assert digest.hexdigest() == RIESZ_DUNFORD_SHA256
 
 
 def test_quadrature_geometric_convergence():
@@ -178,11 +204,10 @@ def test_quadrature_geometric_convergence():
         lam = op.spectrum * scale
         a = (op.unitary * lam) @ op.unitary.conj().T
         f = funcalc.random_herglotz(800 + seed, 8)
-        scaled = g1gen.G1Operator(matrix=a, spectrum=lam, unitary=op.unitary,
-                                  d=g1gen.boundary_distance(lam))
+        scaled = g1gen.G1Operator(matrix=a, spectrum=lam, unitary=op.unitary)
         exact = funcalc.apply_normal(f, scaled)
-        err_128 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=128) - exact)
-        err_512 = np.linalg.norm(funcalc.riesz_dunford(f, a, lam, nodes=512) - exact)
+        err_128 = np.linalg.norm(funcalc.riesz_dunford(f, scaled, nodes=128) - exact)
+        err_512 = np.linalg.norm(funcalc.riesz_dunford(f, scaled, nodes=512) - exact)
         assert err_128 >= 1e3 * err_512
 
 
@@ -190,7 +215,7 @@ def test_spectral_mapping():
     for seed in range(5):
         op = g1gen.random_g1(900 + seed, 5, 0.8)
         f = funcalc.random_herglotz(950 + seed, 6)
-        fa = funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes=512)
+        fa = funcalc.riesz_dunford(f, op, nodes=512)
         got = np.sort_complex(np.linalg.eigvals(fa))
         expected = np.sort_complex(np.array([oracles.eval_herglotz(f, lam)
                                              for lam in op.spectrum]))
@@ -235,6 +260,6 @@ def test_fbar_direct_matches_adjoint_of_direct_sum():
 def test_fbar_direct_matches_contour_route():
     op = g1gen.random_g1(48, 4, 0.8)
     f = funcalc.random_herglotz(49, 8)
-    contour = funcalc.riesz_dunford(f, op.matrix, op.spectrum, nodes=512)
+    contour = funcalc.riesz_dunford(f, op, nodes=512)
     assert np.linalg.norm(oracles.fbar_direct(f, op.matrix)
                           - linalg.adjoint(contour)) <= 1e-8

@@ -155,7 +155,7 @@ def test_resolvent_norm_singular_on_spectrum():
 def test_certify_zero_matrix():
     op = g1gen.G1Operator(matrix=np.zeros((2, 2), dtype=complex),
                           spectrum=np.zeros(2, dtype=complex),
-                          unitary=np.eye(2, dtype=complex), d=1.0)
+                          unitary=np.eye(2, dtype=complex))
     assert g1gen.certify_core(op.matrix, op.spectrum) <= 1e-12
 
 
@@ -178,26 +178,22 @@ def test_boundary_resolvent_bound():
 
 
 def _operator(op, **changes):
-    fields = dict(matrix=op.matrix, spectrum=op.spectrum, unitary=op.unitary, d=op.d)
+    fields = dict(matrix=op.matrix, spectrum=op.spectrum, unitary=op.unitary)
     return g1gen.G1Operator(**dict(fields, **changes))
 
 
-def test_operator_validation_rejects_mismatched_d():
-    op = g1gen.random_g1(seed=12, n=3, rho_max=0.8)
-    message = re.escape("d does not match min(1 - |lambda|)")
-    with pytest.raises(ValueError, match=message):
-        _operator(op, d=op.d + 1e-3)
-    _operator(op, d=op.d + 0.5 * g1gen.D_TOL)
-    with pytest.raises(ValueError, match=message):
-        _operator(op, d=op.d + 2.0 * g1gen.D_TOL)
-    with pytest.raises(ValueError, match=message):
-        _operator(op, d=np.nan)
+def test_operator_derives_d_from_its_spectrum_bit_for_bit():
+    for seed, n in ((12, 3), (14, 1), (18, 9)):
+        op = g1gen.random_g1(seed=seed, n=n, rho_max=0.8)
+        assert op.d == g1gen.boundary_distance(op.spectrum)
+    with pytest.raises(TypeError):
+        _operator(op, d=op.d)
 
 
 def test_operator_validation_rejects_a_nan_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalues must be finite"):
         g1gen.G1Operator(matrix=np.diag([0.5, 0.2]), spectrum=[0.5, np.nan],
-                         unitary=np.eye(2), d=np.nan)
+                         unitary=np.eye(2))
 
 
 def test_operator_validation_rejects_wrong_unitary():
@@ -233,7 +229,7 @@ def test_operator_validation_rejects_a_wrong_reconstruction():
 def test_operator_validation_rejects_non_normal_without_certificate():
     with pytest.raises(CertificationFailed):
         g1gen.G1Operator(matrix=JORDAN, spectrum=np.array([0.5, 0.5]),
-                         unitary=None, d=0.5)
+                         unitary=None)
     # [[a, e], [0, -a]] with U = I: within e of U diag(a, -a) U*, and its
     # commutator ||A*A - AA*||_F is about 2 sqrt(2) a e against a bound of
     # NORMALITY_TOL ||A||_F^2 = 2 NORMALITY_TOL a^2
@@ -244,7 +240,7 @@ def test_operator_validation_rejects_non_normal_without_certificate():
         commutator = tilted.conj().T @ tilted - tilted @ tilted.conj().T
         ratio = np.linalg.norm(commutator) / np.linalg.norm(tilted) ** 2
         assert ratio == pytest.approx(factor * g1gen.NORMALITY_TOL, rel=1e-3)
-        bundle = dict(matrix=tilted, spectrum=[a, -a], unitary=np.eye(2), d=1.0 - a)
+        bundle = dict(matrix=tilted, spectrum=[a, -a], unitary=np.eye(2))
         if factor < 1.0:
             g1gen.G1Operator(**bundle)
         else:
@@ -263,7 +259,7 @@ def test_operator_accepts_certificate_backed_candidate():
     a = np.diag([0.5, -0.3]).astype(complex)
     cert = g1gen.certify_core(a, [0.5, -0.3])
     op = g1gen.G1Operator(matrix=a, spectrum=np.array([0.5, -0.3]),
-                          unitary=None, d=0.5, certificate=cert)
+                          unitary=None, certificate=cert)
     assert op.certificate <= 1e-6
 
 

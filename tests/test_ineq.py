@@ -20,7 +20,7 @@ def random_complex(rng, n):
 def zero_operator(n):
     return g1gen.G1Operator(matrix=np.zeros((n, n), dtype=complex),
                             spectrum=np.zeros(n, dtype=complex),
-                            unitary=np.eye(n, dtype=complex), d=1.0)
+                            unitary=np.eye(n, dtype=complex))
 
 
 # ---------------------------------------------------------------- lemma21a
@@ -242,8 +242,7 @@ def test_thm22_quadrature_route_for_loaded_operator():
     a = np.diag([0.5, -0.3]).astype(complex)
     spectrum = np.array([0.5, -0.3])
     cert = g1gen.certify_core(a, spectrum)
-    op = g1gen.G1Operator(matrix=a, spectrum=spectrum, unitary=None,
-                          d=0.5, certificate=cert)
+    op = g1gen.G1Operator(matrix=a, spectrum=spectrum, unitary=None, certificate=cert)
     rng = np.random.default_rng(84)
     f = funcalc.random_herglotz(85, 8)
     report = ineq.check_thm22(f, op, random_complex(rng, 2), "sum")
@@ -274,7 +273,7 @@ def test_cor23_scalar_saturation():
     # so ||Re f(A)|| = 3 and (1/d^2)||I - AA*|| = 4 * 0.75 = 3
     op = g1gen.G1Operator(matrix=np.array([[0.5]], dtype=complex),
                           spectrum=np.array([0.5 + 0j]),
-                          unitary=np.eye(1, dtype=complex), d=0.5)
+                          unitary=np.eye(1, dtype=complex))
     report = ineq.check_cor23(ATOM_AT_ZERO, op, "re")
     assert report.passed
     assert report.lhs == pytest.approx(3.0, abs=1e-12)
@@ -389,7 +388,7 @@ def test_cor26_zero_operators():
 def test_cor26_real_scalar_product():
     opa = g1gen.G1Operator(matrix=np.array([[0.5]], dtype=complex),
                            spectrum=np.array([0.5 + 0j]),
-                           unitary=np.eye(1, dtype=complex), d=0.5)
+                           unitary=np.eye(1, dtype=complex))
     report = ineq.check_cor26(ATOM_AT_ZERO, opa, zero_operator(1), "im")
     assert report.passed
     assert report.lhs <= 1e-12

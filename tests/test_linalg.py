@@ -173,33 +173,14 @@ def test_resolvent_norms_raise_at_the_first_singular_point():
     assert str(exc.value) == messages[0]
 
 
-def test_block2x2_scalar_blocks():
-    x = np.array([[1.0]], dtype=complex)
-    zero = np.zeros((1, 1), dtype=complex)
-    assert_allclose(linalg.block2x2(zero, x, x, zero),
-                    np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_block2x2_identity_blocks():
-    eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    assert_allclose(linalg.block2x2(eye, zero, zero, eye), np.eye(4))
-
-
-def test_block2x2_phase_preserves_norm():
+def test_offdiagonal_block_phase_preserves_norm():
     rng = np.random.default_rng(6)
     x = random_complex(rng, 3)
     zero = np.zeros((3, 3), dtype=complex)
-    base = linalg.spectral_norm(linalg.block2x2(zero, x, x, zero))
+    base = linalg.spectral_norm(np.block([[zero, x], [x, zero]]))
     for theta in (0.3, 1.7, 5.1):
-        rotated = linalg.block2x2(zero, x, np.exp(1j * theta) * x, zero)
+        rotated = np.block([[zero, x], [np.exp(1j * theta) * x, zero]])
         assert linalg.spectral_norm(rotated) == pytest.approx(base, rel=1e-12)
-
-
-def test_block2x2_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.block2x2(np.eye(2, dtype=complex), np.eye(3, dtype=complex),
-                        np.eye(2, dtype=complex), np.eye(2, dtype=complex))
 
 
 def test_as_matrix_rejects_non_square():

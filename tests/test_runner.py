@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -213,6 +214,19 @@ def test_batch_csv_reports_are_pinned(dims, suites):
     assert hashlib.sha256(text.encode()).hexdigest() == BATCH_CSV_SHA256[(dims, suites)]
 
 
+# SHA-256 of the CSV report of the seed-42 batch of 50 trials of cor23, rem25
+# and cor26 at dims 2-8, where f(A), the G1 operators and their d are drawn
+NORM_ONLY_CSV_SHA256 = "15edeefa8b58ca936ba063314f982d6d89ca9b20ab001d98eb786739e9edd465"
+
+
+def test_norm_only_csv_report_is_pinned():
+    cfg = runner.TrialConfig(master_seed=42, dims=(2, 3, 4, 5, 6, 7, 8), trials_per_suite=50,
+                             suites=("cor23", "rem25", "cor26"), report_format="csv")
+    result = runner.run_suite(cfg)
+    text = runner.render_report(result.suites, result.details, "csv", cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == NORM_ONLY_CSV_SHA256
+
+
 def test_every_variant_reaches_its_checker():
     cfg = runner.TrialConfig(master_seed=3)
     assert runner.ALL_SUITES == tuple(runner.SUITES)
@@ -255,7 +269,7 @@ def write_json(path, obj):
 def test_load_full_bundle_zero_operator(tmp_path):
     op = g1gen.G1Operator(matrix=np.zeros((2, 2), dtype=complex),
                           spectrum=np.zeros(2, dtype=complex),
-                          unitary=np.eye(2, dtype=complex), d=1.0)
+                          unitary=np.eye(2, dtype=complex))
     path = tmp_path / "zero.json"
     write_json(path, serialize.g1operator_to_json(op))
     loaded = runner.load_operator(path)
@@ -292,6 +306,19 @@ def test_load_rejects_boundary_spectrum(tmp_path):
     write_json(path, obj)
     with pytest.raises(SpectrumOnBoundary):
         runner.load_operator(path)
+
+
+def test_load_checks_a_bundle_d_against_the_operator(tmp_path):
+    op = g1gen.random_g1(seed=12, n=3, rho_max=0.8)
+    obj = serialize.g1operator_to_json(op)
+    path = tmp_path / "op.json"
+    message = re.escape("inconsistent operator file: d does not match min(1 - |lambda|)")
+    for d in (op.d + 1e-3, op.d + 2.0 * g1gen.D_TOL, op.d - 2.0 * g1gen.D_TOL, math.nan):
+        path.write_text(serialize.dumps(dict(obj, d=d)))
+        with pytest.raises(ParseError, match=message):
+            runner.load_operator(path)
+    path.write_text(serialize.dumps(dict(obj, d=op.d + 0.5 * g1gen.D_TOL)))
+    assert runner.load_operator(path).d == op.d
 
 
 def test_load_requires_spectrum(tmp_path):

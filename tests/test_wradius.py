@@ -102,7 +102,7 @@ def golden_inputs():
         yield random_complex(rng, int(rng.integers(2, 17)))
     for n in (3, 4):
         zero = np.zeros((n, n), dtype=complex)
-        yield linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero)
+        yield np.block([[zero, random_complex(rng, n)], [random_complex(rng, n), zero]])
     yield np.triu(random_complex(rng, 6), 1)
 
 
@@ -226,9 +226,9 @@ def degenerate_family(kind):
     x, y = random_complex(rng, 3), random_complex(rng, 3)
     zero = np.zeros((3, 3), dtype=complex)
     if kind == "nilpotent":
-        return linalg.block2x2(zero, x, zero, zero)
+        return np.block([[zero, x], [zero, zero]])
     if kind == "antidiagonal":
-        return linalg.block2x2(zero, x, y, zero)
+        return np.block([[zero, x], [y, zero]])
     if kind == "identity":
         return np.eye(4, dtype=complex)
     if kind == "hermitian":
@@ -320,7 +320,7 @@ def test_eigensolves_per_call(monkeypatch):
             calls.clear()
             sines.clear()
             wradius.numerical_radius(
-                linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero))
+                np.block([[zero, random_complex(rng, n)], [random_complex(rng, n), zero]]))
             steps = [size for name, size in calls if name == "eigh"]
             assert steps[0] == 2
             assert steps == sorted(steps, reverse=True)
@@ -403,7 +403,7 @@ def two_pass_inputs():
     yield from (random_complex(rng, n) for n in range(2, 33))
     for n in (2, 3, 4, 6, 8):
         zero = np.zeros((n, n), dtype=complex)
-        yield linalg.block2x2(zero, random_complex(rng, n), random_complex(rng, n), zero)
+        yield np.block([[zero, random_complex(rng, n)], [random_complex(rng, n), zero]])
     yield from (degenerate_family(kind) for kind in DEGENERATE)
     yield from (tied_vertices(1e8, seed) for seed in range(24))
 
@@ -474,7 +474,7 @@ def test_chunked_grid_is_bitwise_identical(monkeypatch, rows):
     zero = np.zeros((8, 8), dtype=complex)
     # the 16x16 off-diagonal block refines a tied pair of candidates in one stack
     inputs = [random_complex(rng, 5), degenerate_family("nilpotent"), random_complex(rng, 16),
-              linalg.block2x2(zero, random_complex(rng, 8), random_complex(rng, 8), zero)]
+              np.block([[zero, random_complex(rng, 8)], [random_complex(rng, 8), zero]])]
     expected = [wradius.numerical_radius(a) for a in inputs]
     for a, want in zip(inputs, expected):
         monkeypatch.setattr(wradius, "GRID_BYTES", rows * a.nbytes)
@@ -489,7 +489,7 @@ def test_memory_stays_within_budget(monkeypatch):
     # has hundreds, so the candidate stacks are chunked too
     rng = np.random.default_rng(43)
     zero = np.zeros((32, 32), dtype=complex)
-    for a in (random_complex(rng, 64), linalg.block2x2(zero, random_complex(rng, 32), zero, zero)):
+    for a in (random_complex(rng, 64), np.block([[zero, random_complex(rng, 32)], [zero, zero]])):
         budget = 4 * a.nbytes
         monkeypatch.setattr(wradius, "GRID_BYTES", budget)
         tracemalloc.start()
