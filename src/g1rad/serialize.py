@@ -71,7 +71,9 @@ def read_json(path):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError (bytes that
+    # are not UTF-8); RecursionError is json's answer to very deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -83,7 +85,10 @@ def _require(obj, key, kind):
     if isinstance(value, bool) and kind in (int, float):
         raise ParseError(f"field {key!r} has wrong type")
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ParseError(f"field {key!r} is too large for a double") from exc
     if not isinstance(value, kind):
         raise ParseError(f"field {key!r} has wrong type")
     return value

@@ -216,11 +216,20 @@ def test_certify_output_is_pinned(tmp_path, capsys, n, layout):
     assert out == CERTIFY_GOLDEN[(n, layout)]
 
 
+# bytes that are not UTF-8, and nesting deep enough to exhaust json's recursion
+UNDECODABLE = [b'\xff\xfe{"n": 1}', b"[" * 100_000 + b"]" * 100_000]
+
+
 def test_certify_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("nope")
     code, _, _ = run_cli(capsys, "certify", "--input", str(path))
     assert code == 2
+    for raw in UNDECODABLE:
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "certify", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in err
 
 
 def test_wrad_prints_radius(tmp_path, capsys):
@@ -278,11 +287,26 @@ def test_certify_rejects_a_boolean_d(tmp_path, capsys):
     assert "field 'd' has wrong type" in err
 
 
+def test_certify_rejects_a_d_too_large_for_a_double(tmp_path, capsys):
+    obj = serialize.g1operator_to_json(g1gen.random_g1(seed=2, n=3, rho_max=0.8))
+    obj["d"] = 10 ** 400
+    path = tmp_path / "huge-d.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "field 'd' is too large for a double" in err
+
+
 def test_wrad_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "re": [[0]]}')
     code, _, _ = run_cli(capsys, "wrad", "--input", str(path))
     assert code == 2
+    for raw in UNDECODABLE:
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "wrad", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in err
 
 
 def test_wrad_unreadable_file(tmp_path, capsys):
@@ -299,30 +323,39 @@ def test_wrad_unreadable_file(tmp_path, capsys):
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_env_after_import(env):
-    code = "import os, g1rad; print(' '.join(os.environ[v] for v in %r))" % (BLAS_VARS,)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    return out.split()
+# every caller enters through a submodule, which runs the package root first
+IMPORTS = ("g1rad", "g1rad.wradius", "g1rad.cli")
+
+
+def _python_output(code, env):
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def _blas_env_after_import(env, module):
+    code = "import os, %s; print(' '.join(os.environ[v] for v in %r))" % (module, BLAS_VARS)
+    return _python_output(code, env).split()
 
 
 def test_import_pins_blas_to_one_thread_by_default():
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    assert _blas_env_after_import(env) == ["1", "1", "1"]
+    for module in IMPORTS:
+        assert _blas_env_after_import(env, module) == ["1", "1", "1"], module
 
 
 def test_import_keeps_a_blas_thread_setting():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3", MKL_NUM_THREADS="4")
-    assert _blas_env_after_import(env) == ["2", "3", "4"]
+    for module in IMPORTS:
+        assert _blas_env_after_import(env, module) == ["2", "3", "4"], module
 
 
-def test_all_names_exist_once():
-    import g1rad
-
-    assert len(set(g1rad.__all__)) == len(g1rad.__all__)
-    assert [name for name in g1rad.__all__ if not hasattr(g1rad, name)] == []
+def test_package_root_imports_no_numpy():
+    # the BLAS pin holds only if numpy is imported after it
+    code = "import sys, g1rad; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert _python_output(code, env).split() == ["False"]
 
 
 def test_verify_exit_code_on_failed_check(monkeypatch, capsys):
