@@ -22,7 +22,6 @@ from .errors import (
 from .runner import (
     ALL_SUITES,
     TrialConfig,
-    emit_report,
     load_operator,
     render_report,
     report_to_json,
@@ -86,12 +85,16 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
     print(f"total: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
-    if args.out is not None:
-        emit_report(result.suites, result.details, config.report_format, args.out, config)
-        print(f"report written to {args.out}", file=sys.stderr)
+    text = render_report(result.suites, result.details, config.report_format, config)
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        sys.stdout.write(render_report(result.suites, result.details,
-                                       config.report_format, config))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise IoError(f"cannot write report to {args.out}: {exc}") from exc
+        print(f"report written to {args.out}", file=sys.stderr)
     all_passed = all(s.passed == s.total for s in result.suites)
     print("RESULT: " + ("PASS" if all_passed else "FAIL"), file=sys.stderr)
     return 0 if all_passed else 1

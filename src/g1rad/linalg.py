@@ -19,10 +19,10 @@ PIVOT_TOL = 1e-13
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix, rejecting NaN/Inf entries."""
+    """Coerce to a nonempty square complex128 matrix, rejecting NaN/Inf entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
@@ -46,6 +46,8 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     """Operator norm sqrt(lambda_max(A*A)) of one matrix, or of each matrix in a stack."""
     a = np.asarray(a, dtype=np.complex128)
+    if a.shape[-1] == 0:
+        raise DimensionMismatch(f"expected nonempty matrices, got shape {a.shape}")
     gram = np.conj(a).swapaxes(-1, -2) @ a
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import funcalc, g1gen, ineq, linalg, serialize
-from .errors import ConfigError, IoError, ParseError
+from .errors import ConfigError, ParseError
 from .g1gen import G1Operator
 from .ineq import InequalityReport
 
@@ -253,15 +253,6 @@ def render_report(suites, details, fmt: str, config: TrialConfig) -> str:
             ]))
         return "\n".join(lines) + "\n"
     raise ConfigError(f"report format must be 'json' or 'csv', got {fmt!r}")
-
-
-def emit_report(suites, details, fmt: str, path, config: TrialConfig) -> None:
-    text = render_report(suites, details, fmt, config)
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
 
 
 def load_operator(path, circle_samples: int = 64) -> G1Operator:

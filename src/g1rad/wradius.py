@@ -33,8 +33,11 @@ step is two small products for V* H' v followed by Python float arithmetic
 depend on the stack and results are the same at any GRID_BYTES chunking.
 The returned value is the largest eigenvalue met along the way, and the
 witness is its eigenvector, so the value is always achieved: a certified
-lower bound on w(A). An input whose ||A||_F overflows is evaluated as 2^-e A,
-with entries below 1 in modulus, and the value scaled back by 2^e.
+lower bound on w(A). Every nonzero A is evaluated as 4^-k A, the least k
+that brings its largest real or imaginary part below 1 (into [1/4, 1)), and the
+value scaled back by 4^k. An even power of two keeps every step exact while
+entries stay normal: sqrt(4^k x) = 2^k sqrt(x), whereas sqrt(2x) rounds. So
+TIE_TOL and the slacks apply at unit scale, and w(4^j A) is 4^j w(A) bitwise.
 """
 
 from __future__ import annotations
@@ -191,25 +194,22 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     Grid-local maxima that cannot beat the incumbent (by the Lipschitz
     bound ||A||_F per radian) are pruned before refinement; all ties
     within TIE_TOL are refined and the smallest maximizing angle wins.
-    Raises OverflowError when w(A) exceeds the largest double.
+    Evaluated at one scale (module docstring), so TIE_TOL applies at unit
+    scale. Raises OverflowError when w(A) exceeds the largest double.
     """
     a = linalg.as_matrix(a)
     if grid_points < 8 or grid_points % 2:
         raise ValueError("grid_points must be even and at least 8")
     n = a.shape[0]
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(a))
-    if not math.isfinite(fro):
-        # a power-of-two rescaling keeps the bits of every entry that does not
-        # underflow; math.ldexp raises OverflowError on an infinite value
-        e = math.frexp(max(float(np.abs(a.real).max()), float(np.abs(a.imag).max())))[1]
-        scaled = numerical_radius(math.ldexp(1.0, -e) * a, grid_points)
-        return RadiusResult(math.ldexp(scaled.value, e), scaled.theta_star, scaled.witness,
-                            grid_points)
-    if fro == 0.0:
+    big = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    if big == 0.0:
         witness = np.zeros(n, dtype=np.complex128)
         witness[0] = 1.0
         return RadiusResult(0.0, 0.0, witness, grid_points)
+    # two factors of 2^-k, since 4^-k overflows for subnormal entries
+    k = (math.frexp(big)[1] + 1) // 2
+    a = a * math.ldexp(1.0, -k) * math.ldexp(1.0, -k)
+    fro = float(np.linalg.norm(a))
 
     re, im = linalg.herm_part(a), linalg.skew_part(a)
     rows = max(1, GRID_BYTES // a.nbytes)
@@ -219,7 +219,7 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
 
     around = np.concatenate((grid_vals[-1:], grid_vals, grid_vals[:1]))
     local_max = (grid_vals >= around[:-2]) & (grid_vals >= around[2:])
-    viable = grid_vals >= grid_best - max(fro * step, TIE_TOL)
+    viable = grid_vals >= grid_best - fro * step
     centers = [step * k for k in np.flatnonzero(local_max & viable).tolist()]
     found = [best for s in range(0, len(centers), rows)
              for best in _refine(re, im, centers[s:s + rows], step, fro)]
@@ -228,10 +228,10 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     # the smallest tied angle in [0, 2 pi) wins; a tiny negative angle that
     # wraps to 2 pi itself counts as 0
     ties = []
-    for k, (value, theta, _) in enumerate(found):
+    for i, (value, theta, _) in enumerate(found):
         if value >= top - TIE_TOL:
             wrapped = theta % (2.0 * math.pi)
-            ties.append((wrapped if wrapped < 2.0 * math.pi else 0.0, k))
+            ties.append((wrapped if wrapped < 2.0 * math.pi else 0.0, i))
     wrapped, pick = min(ties)
     value, _, witness = found[pick]
-    return RadiusResult(value, wrapped, witness, grid_points)
+    return RadiusResult(math.ldexp(value, 2 * k), wrapped, witness, grid_points)

@@ -52,6 +52,14 @@ def test_verify_writes_file(tmp_path, capsys):
     assert doc["suites"][0]["suite"] == "lemma21f"
 
 
+def test_verify_reports_an_unwritable_out_path(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suites", "lemma21f", "--dims", "2",
+        "--trials", "1", "--out", "/nonexistent-dir/report.json")
+    assert (code, out) == (2, "")
+    assert "cannot write report" in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suites", "lemma21a", "--dims", "2",
@@ -254,6 +262,20 @@ def test_wrad_near_the_largest_double(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "exceeds the largest double" in err
+
+
+def test_wrad_at_tiny_scales(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    tiny = '{"n": 2, "re": [[1e-%d, 2e-%d], [0, -1e-%d]], "im": [[0, 0], [3e-%d, 0]]}'
+    path.write_text(tiny % ((300,) * 4))
+    code, out, _ = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] == 2.6060278711382018e-300
+    # subnormal entries: one factor 2^-e would overflow for e < -1023
+    path.write_text(tiny % ((320,) * 4))
+    code, out, _ = run_cli(capsys, "wrad", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["value"] > 0.0
 
 
 def test_wrad_rejects_a_boolean_dimension(tmp_path, capsys):

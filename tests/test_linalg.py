@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
-from g1rad import linalg
+from g1rad import ineq, linalg, wradius
 from g1rad.errors import DimensionMismatch, Singular
 
 
@@ -186,6 +186,14 @@ def test_offdiagonal_block_phase_preserves_norm():
 def test_as_matrix_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         linalg.as_matrix(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call", [wradius.numerical_radius, linalg.spectral_norm,
+                                  lambda m: ineq.check_lemma21_a(m, m)],
+                         ids=["numerical_radius", "spectral_norm", "check_lemma21_a"])
+def test_empty_matrix_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call(np.zeros((0, 0)))
 
 
 def test_as_matrix_rejects_nan():

@@ -1,4 +1,4 @@
-"""Tests for the batch driver, report emission, and operator loading."""
+"""Tests for the batch driver, report rendering, and operator loading."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from g1rad import g1gen, ineq, runner, serialize
-from g1rad.errors import CertificationFailed, ConfigError, IoError, ParseError, SpectrumOnBoundary
+from g1rad.errors import CertificationFailed, ConfigError, ParseError, SpectrumOnBoundary
 
 TINY = runner.TrialConfig(master_seed=7, dims=(2,), trials_per_suite=1, suites=("thm22",))
 
@@ -100,22 +100,18 @@ def test_config_is_validated_on_construction():
         runner.TrialConfig(suites=())
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     result = runner.run_suite(TINY)
-    path = tmp_path / "report.json"
-    runner.emit_report(result.suites, result.details, "json", path, TINY)
-    doc = json.loads(path.read_text())
+    doc = json.loads(runner.render_report(result.suites, result.details, "json", TINY))
     assert doc["config"]["master_seed"] == 7
     assert [s["suite"] for s in doc["suites"]] == ["thm22"]
     assert doc["details"] == [runner.report_to_json(r) for r in result.details]
 
 
-def test_json_emits_17_digit_floats(tmp_path):
+def test_json_emits_17_digit_floats():
     result = runner.run_suite(TINY)
     report = result.details[0]
-    path = tmp_path / "report.json"
-    runner.emit_report(result.suites, result.details, "json", path, TINY)
-    doc = json.loads(path.read_text())
+    doc = json.loads(runner.render_report(result.suites, result.details, "json", TINY))
     assert doc["details"][0]["lhs"] == report.lhs  # exact double round-trip
 
 
@@ -125,11 +121,10 @@ def test_empty_details_json():
     assert doc["details"] == []
 
 
-def test_csv_shape_and_round_trip(tmp_path):
+def test_csv_shape_and_round_trip():
     result = runner.run_suite(TINY)
-    path = tmp_path / "report.csv"
-    runner.emit_report(result.suites, result.details, "csv", path, TINY)
-    lines = path.read_text().strip().split("\n")
+    text = runner.render_report(result.suites, result.details, "csv", TINY)
+    lines = text.strip().split("\n")
     assert lines[0] == "name,lhs,rhs,ratio,pass,seed,dim"
     assert len(lines) == 2
     name, lhs, rhs, ratio, passed, seed, dim = lines[1].split(",")
@@ -139,13 +134,6 @@ def test_csv_shape_and_round_trip(tmp_path):
     assert float(ratio) == report.ratio
     assert (passed == "true") == report.passed
     assert int(seed) == report.seed and int(dim) == report.dim
-
-
-def test_emit_report_bad_path():
-    result = runner.run_suite(TINY)
-    with pytest.raises(IoError):
-        runner.emit_report(result.suites, result.details, "json",
-                           "/nonexistent-dir/report.json", TINY)
 
 
 def test_suite_report_hides_trial_time():

@@ -173,6 +173,25 @@ def test_homogeneity_where_the_frobenius_norm_overflows(n):
     assert big.theta_star == pytest.approx(base.theta_star, abs=1e-9)
     achieved = abs(np.conj(big.witness) @ (a @ big.witness))
     assert achieved == pytest.approx(base.value, rel=1e-12)
+    # an even power of two keeps every step exact
+    for k in (-300, -10, 10, 255):
+        scaled = wradius.numerical_radius(4.0**k * a)
+        assert scaled.value == 4.0**k * base.value
+        assert scaled.theta_star == base.theta_star
+        assert scaled.witness.tobytes() == base.witness.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-13, 2.0**-600])
+def test_homogeneity_at_small_scales(scale):
+    # an absolute TIE_TOL would tie every refined candidate here, and
+    # ||2^-600 A||_F underflows to 0
+    rng = np.random.default_rng(0)
+    for n in (2, 4, 8, 16):
+        for _ in range(20):
+            a = random_complex(rng, n)
+            base = wradius.numerical_radius(a).value
+            small = wradius.numerical_radius(scale * a).value
+            assert small / scale == pytest.approx(base, rel=1e-14)
 
 
 def test_radius_near_the_largest_double():
