@@ -57,6 +57,14 @@ def _parse_replay(text: str) -> tuple:
     return suite, dim, trial
 
 
+def _write_report(path: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write report to {path}: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     config = TrialConfig(
         master_seed=args.seed,
@@ -75,6 +83,10 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(serialize.dumps(report_to_json(report)) + "\n")
         return 0 if report.passed else 1
 
+    if args.out is not None:
+        # an unwritable path fails before the first trial, not after the run;
+        # appending nothing leaves an existing file as it is until then
+        _write_report(args.out, "", "a")
     wall0, cpu0 = time.perf_counter(), time.process_time()
     result = run_suite(config)
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
@@ -89,11 +101,7 @@ def _cmd_verify(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise IoError(f"cannot write report to {args.out}: {exc}") from exc
+        _write_report(args.out, text)
         print(f"report written to {args.out}", file=sys.stderr)
     all_passed = all(s.passed == s.total for s in result.suites)
     print("RESULT: " + ("PASS" if all_passed else "FAIL"), file=sys.stderr)

@@ -43,13 +43,31 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - adjoint(a)) / 2j
 
 
+def _gram_norm(a: np.ndarray) -> float | np.ndarray:
+    """sqrt(lambda_max(A*A)) of A as given, for one matrix or a stack."""
+    gram = np.conj(a).swapaxes(-1, -2) @ a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
-    """Operator norm sqrt(lambda_max(A*A)) of one matrix, or of each matrix in a stack."""
+    """Operator norm sqrt(lambda_max(A*A)) of one matrix, or of each matrix in a stack.
+
+    When every matrix has its largest modulus in [2^-200, 2^200], A*A is
+    formed as it is: its largest products neither underflow nor overflow
+    and LAPACK does not rescale it, so a power of two would change no bit,
+    and the check costs one reduction. Otherwise each matrix is evaluated as
+    2^-e A, with e the exponent that brings its largest modulus into
+    [1/2, 1) (but at least -1023, so that 2^-e is finite), and its norm is
+    scaled back by 2^e; sqrt(4^-e x) = 2^-e sqrt(x) is exact.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-1] == 0:
         raise DimensionMismatch(f"expected nonempty matrices, got shape {a.shape}")
-    gram = np.conj(a).swapaxes(-1, -2) @ a
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    big = np.abs(a).max(axis=(-2, -1))
+    if all(2.0**-200 <= x <= 2.0**200 for x in big.ravel().tolist()):
+        return _gram_norm(a)
+    exp = np.maximum(np.frexp(big)[1], -1023)
+    return np.ldexp(_gram_norm(a * np.ldexp(1.0, -exp)[..., None, None]), exp)
 
 
 def resolvents(a: np.ndarray, points) -> np.ndarray:

@@ -21,6 +21,20 @@ matrix on its own, so an angle has the same bits whichever pass samples it,
 and every angle in the tie band is sampled: the passes decide only which
 angles below it are skipped. Stacked eigensolves run in chunks of at most
 GRID_BYTES of matrices.
+An off-diagonal block A = [[0, X], [Y, 0]] (n even, both n/2 diagonal blocks
+exactly zero) has H(theta) = [[0, B], [B*, 0]] with B(theta) = (e^{i theta} X
++ e^{-i theta} Y*) / 2, so lambda_max(theta) = sigma_max(B) = -lambda_min(theta):
+w(A) = max_theta ||e^{i theta} X + e^{-i theta} Y*|| / 2, a support function
+of period pi. Its passes sample sigma_max(B) as the square root of the top
+eigvalsh of the (n/2) x (n/2) Gram matrix B*B, at theta and theta + pi. Each
+entry of B*B sums n/2 products, so the sample rounds at about
+(n/4) eps ||B|| <= (n/4) eps ||A||_F, the order of an n x n eigvalsh and
+inside _SLACK ||A||_F (measured below 4 eps ||A||_F up to n = 128). The grid
+only steers which centers are refined, and refinement stays on the full
+matrix: of each twin pair of centers theta, theta + pi, the one in [0, pi] is
+refined, and both of 0 and pi, since an iterate from 0 may wrap to just
+below 2 pi, where the twin from pi wins the smallest-angle tie-break. So
+results keep their bits whenever both routes choose the same centers.
 Every surviving grid-local maximum whose two neighbours were sampled is
 polished by a safeguarded Newton iteration on lambda_max(theta) inside the
 two grid cells around it: lambda' = v* H' v (Hellmann-Feynman), lambda''
@@ -93,13 +107,42 @@ def _cell_bounds(coarse: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(np.maximum(lo, hi), apex)
 
 
-def _sample(re, im, grid_vals: np.ndarray, idx: np.ndarray, step: float, rows: int) -> None:
+def _eig_sampler(re, im):
+    """Samples lambda_max(theta) and lambda_max(theta + pi) = -lambda_min(theta)
+    at a stack of angles by eigvalsh of each H(theta)."""
+    def sample(thetas):
+        evals = np.linalg.eigvalsh(_pencil(re, im, thetas))
+        return evals[:, -1], -evals[:, 0]
+    return sample
+
+
+def _gram_sampler(re, im):
+    """The same samples for A = [[0, X], [Y, 0]] with Hermitian part re and skew
+    part im: H(theta) = [[0, B], [B*, 0]] with B(theta) the pencil of the
+    top-right blocks, so both are sigma_max(B), the square root of the top
+    eigenvalue of the half-size Gram matrix B*B."""
+    m = len(re) // 2
+    re, im = re[:m, m:], im[:m, m:]
+
+    def sample(thetas):
+        b = _pencil(re, im, thetas)
+        top = np.sqrt(np.linalg.eigvalsh(np.conj(b).swapaxes(1, 2) @ b)[:, -1])
+        return top, top
+    return sample
+
+
+def _is_offdiagonal(a: np.ndarray) -> bool:
+    """Whether A = [[0, X], [Y, 0]]: n even and both n/2 diagonal blocks exactly zero."""
+    m, odd = divmod(len(a), 2)
+    return not (odd or a[:m, :m].any() or a[m:, m:].any())
+
+
+def _sample(sample, grid_vals: np.ndarray, idx: np.ndarray, step: float, rows: int) -> None:
     """Set grid_vals at the half-turn indices idx and at their opposites."""
     half = len(grid_vals) // 2
     for start in range(0, len(idx), rows):
         part = idx[start:start + rows]
-        evals = np.linalg.eigvalsh(_pencil(re, im, step * part))
-        grid_vals[part], grid_vals[part + half] = evals[:, -1], -evals[:, 0]
+        grid_vals[part], grid_vals[part + half] = sample(step * part)
 
 
 @functools.cache
@@ -118,13 +161,13 @@ def _strides(half: int) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def _grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray:
+def _grid(sample, grid_points: int, fro: float, rows: int) -> np.ndarray:
     """lambda_max on the uniform grid; NaN at the angles the passes skipped."""
     half = grid_points // 2
     step = 2.0 * np.pi / grid_points
     strides = _strides(half)
     grid_vals = np.full(grid_points, np.nan)
-    _sample(re, im, grid_vals, np.arange(0, half, strides[0]), step, rows)
+    _sample(sample, grid_vals, np.arange(0, half, strides[0]), step, rows)
     for wide, narrow in zip(strides, strides[1:]):
         # a cell with an unsampled end lies in a pruned cell: its bound is NaN
         bounds = _cell_bounds(grid_vals[::wide], wide * step)
@@ -134,7 +177,7 @@ def _grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray:
         need = np.zeros(half, dtype=bool)
         need[(cells[:, None] * wide + np.arange(-pad, wide + pad + 1, narrow)) % half] = True
         need[::wide] = False
-        _sample(re, im, grid_vals, need.nonzero()[0], step, rows)
+        _sample(sample, grid_vals, need.nonzero()[0], step, rows)
     return grid_vals
 
 
@@ -195,7 +238,9 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     bound ||A||_F per radian) are pruned before refinement; all ties
     within TIE_TOL are refined and the smallest maximizing angle wins.
     Evaluated at one scale (module docstring), so TIE_TOL applies at unit
-    scale. Raises OverflowError when w(A) exceeds the largest double.
+    scale; an off-diagonal block [[0, X], [Y, 0]] is gridded on half-size
+    Gram matrices (module docstring). Raises OverflowError when w(A)
+    exceeds the largest double.
     """
     a = linalg.as_matrix(a)
     if grid_points < 8 or grid_points % 2:
@@ -212,15 +257,22 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     fro = float(np.linalg.norm(a))
 
     re, im = linalg.herm_part(a), linalg.skew_part(a)
+    block = _is_offdiagonal(a)
+    sample = _gram_sampler(re, im) if block else _eig_sampler(re, im)
     rows = max(1, GRID_BYTES // a.nbytes)
     step = 2.0 * np.pi / grid_points
-    grid_vals = _grid(re, im, grid_points, fro, rows)
+    grid_vals = _grid(sample, grid_points, fro, rows)
     grid_best = float(np.fmax.reduce(grid_vals))
 
     around = np.concatenate((grid_vals[-1:], grid_vals, grid_vals[:1]))
     local_max = (grid_vals >= around[:-2]) & (grid_vals >= around[2:])
     viable = grid_vals >= grid_best - fro * step
-    centers = [step * k for k in np.flatnonzero(local_max & viable).tolist()]
+    chosen = local_max & viable
+    if block:
+        # the grid has period pi: refine one center of each twin pair, from
+        # [0, pi], and both of 0 and pi, as 0's iterates may wrap below 0
+        chosen[grid_points // 2 + 1:] = False
+    centers = [step * k for k in np.flatnonzero(chosen).tolist()]
     found = [best for s in range(0, len(centers), rows)
              for best in _refine(re, im, centers[s:s + rows], step, fro)]
 

@@ -60,7 +60,7 @@ def numradius_dense(a, samples: int = 4096, polish: int = 3) -> float:
     return best
 
 
-def two_pass_grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray:
+def two_pass_grid(sample, grid_points: int, fro: float, rows: int) -> np.ndarray:
     """wradius._grid as one coarse pass of about 36 half-turn angles and one
     fill of the cells whose bound reaches the tie band, plus one angle either
     side: the reference that the pruning passes must match result for result.
@@ -69,14 +69,14 @@ def two_pass_grid(re, im, grid_points: int, fro: float, rows: int) -> np.ndarray
     stride = max(s for s in range(1, max(1, half // 36) + 1) if half % s == 0)
     step = 2.0 * np.pi / grid_points
     grid_vals = np.full(grid_points, np.nan)
-    wradius._sample(re, im, grid_vals, np.arange(0, half, stride), step, rows)
+    wradius._sample(sample, grid_vals, np.arange(0, half, stride), step, rows)
     coarse = grid_vals[::stride]
     bounds = wradius._cell_bounds(coarse, stride * step)
     cells = np.nonzero(bounds >= coarse.max() - wradius.TIE_TOL - wradius._SLACK * fro)[0]
     need = np.zeros(half, dtype=bool)
     need[(cells[:, None] * stride + np.arange(-1, stride + 2)) % half] = True
     need[::stride] = False
-    wradius._sample(re, im, grid_vals, np.nonzero(need)[0], step, rows)
+    wradius._sample(sample, grid_vals, np.nonzero(need)[0], step, rows)
     return grid_vals
 
 

@@ -52,12 +52,15 @@ def test_verify_writes_file(tmp_path, capsys):
     assert doc["suites"][0]["suite"] == "lemma21f"
 
 
-def test_verify_reports_an_unwritable_out_path(capsys):
+def test_verify_reports_an_unwritable_out_path(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "verify", "--suites", "lemma21f", "--dims", "2",
-        "--trials", "1", "--out", "/nonexistent-dir/report.json")
+        "--trials", "1", "--out", str(tmp_path / "missing" / "report.json"))
     assert (code, out) == (2, "")
     assert "cannot write report" in err
+    # it fails before the run: no suite line, no timing line
+    assert "lemma21f:" not in err
+    assert "total:" not in err
 
 
 def test_verify_csv_format(capsys):
@@ -248,6 +251,19 @@ def test_wrad_prints_radius(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.5, abs=1e-10)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(serialize.matrix_to_json(
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for source in (path, tmp_path / "missing.json"):
+        child = subprocess.run([sys.executable, "-m", "g1rad", "wrad", "--input", str(source)],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stdout, child.stderr) == run_cli(
+            capsys, "wrad", "--input", str(source))
 
 
 def test_wrad_near_the_largest_double(tmp_path, capsys):

@@ -288,6 +288,24 @@ def test_cor23_random_both_variants():
             assert ineq.check_cor23(f, op, variant).passed
 
 
+# ------------------------------------------------------------ equality cases
+
+@pytest.mark.parametrize("lam", [0.8, 0.95, 0.5 * np.exp(2j)], ids=["0.8", "0.95", "0.5e^2i"])
+def test_scalar_operator_attains_thm22_sum_and_cor23_re(lam):
+    # A = lam I, f one atom at arg lam and X = I: f(A) = (1 + r)/(1 - r) I with
+    # r = |lam|, and d = 1 - r, so each side of both statements is that value
+    # (twice it for thm22:sum): the sharp inputs of the pass rule
+    r = abs(lam)
+    eye = np.eye(4, dtype=complex)
+    op = g1gen.G1Operator(matrix=lam * eye, spectrum=np.full(4, lam, dtype=complex), unitary=eye)
+    f = HerglotzFunction(np.array([np.angle(lam)]), np.array([1.0]))
+    sharp = (1.0 + r) / (1.0 - r)
+    for report, lhs in ((ineq.check_thm22(f, op, eye, "sum"), 2.0 * sharp),
+                        (ineq.check_cor23(f, op, "re"), sharp)):
+        assert report.lhs == pytest.approx(lhs, rel=1e-12)
+        assert abs(report.ratio - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------- thm24
 
 def test_thm24_same_operator_commutator_vanishes():

@@ -1,5 +1,6 @@
 """Unit and property tests for the dense matrix kernels."""
 
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +83,29 @@ def test_spectral_norm_of_a_stack_matches_single_calls_bitwise():
         stack[0] = 0.0
         singles = np.array([linalg.spectral_norm(m) for m in stack])
         assert linalg.spectral_norm(stack).tobytes() == singles.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 2.0**-600, 2.0**520], ids=["1e-12", "2^-600", "2^520"])
+def test_spectral_norm_homogeneity(scale):
+    # unscaled, the Gram product of 2^-600 A underflows to 0 and that of
+    # 2^520 A overflows
+    rng = np.random.default_rng(10)
+    for n in range(1, 9):
+        stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        base = linalg.spectral_norm(stack)
+        # a power of two changes no bit
+        exact = math.frexp(scale)[0] == 0.5
+        assert_allclose(linalg.spectral_norm(scale * stack) / scale, base,
+                        rtol=0.0 if exact else 1e-14)
+        # each matrix of a stack takes its own power of two
+        mixed = stack * np.array([1.0, scale, 2.0**-600, 2.0**520])[:, None, None]
+        assert linalg.spectral_norm(mixed).tolist() == [linalg.spectral_norm(m) for m in mixed]
+
+
+def test_spectral_norm_of_subnormal_and_huge_entries():
+    assert linalg.spectral_norm(np.diag([5e-324, 0.0])) == 5e-324
+    assert linalg.spectral_norm(np.diag([1e-320, -3e-320j])) == pytest.approx(3e-320, rel=1e-3)
+    assert linalg.spectral_norm(np.diag([1.5e308, 1e308])) == 1.5e308
 
 
 def test_solve_identity():

@@ -293,13 +293,13 @@ def test_degenerate_families_closed_forms():
 
 
 def count_eigensolves(monkeypatch):
-    """Record (solver name, number of stacked matrices) of every eigensolve."""
+    """Record (solver name, number of stacked matrices, matrix size) of every eigensolve."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
 
         def counted(h, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, len(h)))
+            calls.append((_name, len(h), h.shape[-1]))
             return _solver(h, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -314,17 +314,19 @@ def test_eigensolves_per_call(monkeypatch):
         for _ in range(8):
             calls.clear()
             wradius.numerical_radius(random_complex(rng, n))
-            names = [name for name, _ in calls]
+            names = [name for name, _, _ in calls]
             # one eigvalsh per pruning pass, then one stacked eigh per Newton step
             assert names[:passes] == ["eigvalsh"] * passes
             assert set(names[passes:]) == {"eigh"}
             assert len(calls) <= 7
             # the full half-turn grid alone is 360 matrices
-            assert sum(size for _, size in calls) <= 64
+            assert sum(size for _, size, _ in calls) <= 64
 
-    # W([[0, X], [Y, 0]]) = -W, so the two angles of a tied pair are refined
-    # together: one eigh per Newton step over both candidates, not one per
-    # candidate, and every candidate step (one sine each) in exactly one stack
+    # W([[0, X], [Y, 0]]) = -W, so a block's grid has period pi and one center
+    # of each twin pair is refined, but both when they sit at angles 0 and pi
+    # (Y = X*). Conjugated by a unitary, the block takes the general path,
+    # which refines its tied pair together: one eigh per Newton step over both
+    # candidates, and every candidate step (one sine each) in exactly one stack
     sines = []
     sin = math.sin
 
@@ -336,23 +338,92 @@ def test_eigensolves_per_call(monkeypatch):
     for n in (2, 3, 4, 8):
         zero = np.zeros((n, n), dtype=complex)
         for _ in range(4):
-            calls.clear()
-            sines.clear()
-            wradius.numerical_radius(
-                np.block([[zero, random_complex(rng, n)], [random_complex(rng, n), zero]]))
-            steps = [size for name, size in calls if name == "eigh"]
-            assert steps[0] == 2
-            assert steps == sorted(steps, reverse=True)
-            assert sum(steps) == len(sines)
-            assert len(calls) <= 7
+            x = random_complex(rng, n)
+            block = np.block([[zero, x], [random_complex(rng, n), zero]])
+            u = g1gen.haar_unitary(rng, 2 * n)
+            for a, candidates in ((block, 1), (np.block([[zero, x], [x.conj().T, zero]]), 2),
+                                  (u @ block @ u.conj().T, 2)):
+                calls.clear()
+                sines.clear()
+                wradius.numerical_radius(a)
+                steps = [size for name, size, _ in calls if name == "eigh"]
+                assert steps[0] == candidates
+                assert steps == sorted(steps, reverse=True)
+                assert sum(steps) == len(sines)
+                assert len(calls) <= 7
 
 
-def full_grid(a, grid_points):
-    """lambda_max at every grid angle, from one unpruned half-turn eigvalsh."""
-    re, im = linalg.herm_part(a), linalg.skew_part(a)
-    half = grid_points // 2
-    evals = np.linalg.eigvalsh(wradius._pencil(re, im, 2.0 * np.pi / grid_points * np.arange(half)))
-    return np.concatenate((evals[:, -1], -evals[:, 0]))
+def offdiagonal(x, y):
+    zero = np.zeros_like(x)
+    return np.block([[zero, x], [y, zero]])
+
+
+def block_inputs():
+    """[[0, X], [Y, 0]] for m = 1..16: Ginibre X and Y, Y = 0, Y = X*,
+    Y = e^{it} X, diagonal X = Y, and Ginibre X and Y at 1e-12."""
+    rng = np.random.default_rng(71)
+    for m in range(1, 17):
+        x, y = random_complex(rng, m), random_complex(rng, m)
+        d = np.diag(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        twist = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        yield from (offdiagonal(x, y), offdiagonal(x, 0.0 * x), offdiagonal(x, x.conj().T),
+                    offdiagonal(x, twist * x), offdiagonal(d, d),
+                    offdiagonal(1e-12 * x, 1e-12 * y))
+
+
+def test_blocks_match_dense_oracle():
+    for a in block_inputs():
+        result = wradius.numerical_radius(a)
+        assert result.value == pytest.approx(oracles.numradius_dense(a), rel=1e-13)
+        achieved = abs(np.conj(result.witness) @ (a @ result.witness))
+        assert achieved == pytest.approx(result.value, rel=1e-13)
+
+
+def test_gram_samples_round_inside_the_slack():
+    # a pass keeps a cell by its bound less _SLACK ||A||_F, which must cover
+    # the Gram route's rounding against the n x n eigvalsh, here 4 times over
+    for a in block_inputs():
+        fro = float(np.linalg.norm(a))
+        gram = full_grid(a, 720, wradius._gram_sampler)
+        assert np.abs(gram - full_grid(a, 720)).max() <= 0.25 * wradius._SLACK * fro
+
+
+def test_ginibre_blocks_match_the_general_path_bitwise(monkeypatch):
+    # the Gram samples only steer which centers are refined, on the full matrix
+    rng = np.random.default_rng(73)
+    inputs = [offdiagonal(random_complex(rng, m), random_complex(rng, m))
+              for m in range(1, 17) for _ in range(4)]
+    got = [wradius.numerical_radius(a) for a in inputs]
+    monkeypatch.setattr(wradius, "_is_offdiagonal", lambda a: False)
+    for a, block in zip(inputs, got):
+        general = wradius.numerical_radius(a)
+        assert block.value == general.value
+        assert block.theta_star == general.theta_star
+        assert np.array_equal(block.witness, general.witness)
+
+
+def test_only_exact_offdiagonal_blocks_take_the_gram_route(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    rng = np.random.default_rng(75)
+    block = offdiagonal(random_complex(rng, 4), random_complex(rng, 4))
+    nudged = block.copy()
+    nudged[5, 5] = 1e-300
+    odd = np.zeros((7, 7), dtype=complex)
+    odd[:3, 3:] = random_complex(rng, 4)[:3]
+    odd[3:, :3] = random_complex(rng, 4)[:, :3]
+    # grid eigensolves are of order n/2 on the Gram route, n otherwise;
+    # refinement is always on the full matrix
+    for a, grid_order in ((block, 4), (nudged, 8), (odd, 7)):
+        calls.clear()
+        wradius.numerical_radius(a)
+        assert {order for name, _, order in calls if name == "eigvalsh"} == {grid_order}
+        assert {order for name, _, order in calls if name == "eigh"} == {len(a)}
+
+
+def full_grid(a, grid_points, sampler=wradius._eig_sampler):
+    """lambda_max at every grid angle, from one unpruned half-turn stack."""
+    sample = sampler(linalg.herm_part(a), linalg.skew_part(a))
+    return np.concatenate(sample(2.0 * np.pi / grid_points * np.arange(grid_points // 2)))
 
 
 def bound_inputs():
@@ -406,12 +477,14 @@ def tied_vertices(scale, seed):
 
 @pytest.mark.parametrize("grid_points", [720, 1440])
 def test_fill_samples_every_angle_in_the_tie_band(grid_points):
-    inputs = [*bound_inputs(), *(tied_vertices(1e8, seed) for seed in range(24))]
-    for a in inputs:
+    inputs = [*((a, wradius._eig_sampler) for a in bound_inputs()),
+              *((tied_vertices(1e8, seed), wradius._eig_sampler) for seed in range(24)),
+              *((a, wradius._gram_sampler) for a in block_inputs())]
+    for a, sampler in inputs:
         re, im = linalg.herm_part(a), linalg.skew_part(a)
         fro = float(np.linalg.norm(a))
-        got = wradius._grid(re, im, grid_points, fro, rows=grid_points)
-        want = full_grid(a, grid_points)
+        got = wradius._grid(sampler(re, im), grid_points, fro, rows=grid_points)
+        want = full_grid(a, grid_points, sampler)
         sampled = ~np.isnan(got)
         assert np.array_equal(got[sampled], want[sampled])
         assert sampled[want >= want.max() - wradius.TIE_TOL].all()
@@ -455,7 +528,7 @@ def test_nilpotent_block_samples_the_whole_half_turn(monkeypatch, grid_points):
     # a flat support function leaves no cell below the tie band
     calls = count_eigensolves(monkeypatch)
     wradius.numerical_radius(degenerate_family("nilpotent"), grid_points)
-    assert sum(size for name, size in calls if name == "eigvalsh") == grid_points // 2
+    assert sum(size for name, size, _ in calls if name == "eigvalsh") == grid_points // 2
 
 
 @pytest.mark.parametrize("grid_points", [8, 10, 30])
@@ -466,8 +539,8 @@ def test_grids_without_a_coarse_stride(monkeypatch, grid_points):
     for a in (random_complex(rng, 4), degenerate_family("nilpotent"), SHIFT):
         calls.clear()
         result = wradius.numerical_radius(a, grid_points)
-        assert calls[0] == ("eigvalsh", grid_points // 2)
-        assert {name for name, _ in calls[1:]} == {"eigh"}
+        assert calls[0][:2] == ("eigvalsh", grid_points // 2)
+        assert {name for name, _, _ in calls[1:]} == {"eigh"}
         assert result.value >= full_grid(a, grid_points).max() - wradius.TIE_TOL
         achieved = abs(np.conj(result.witness) @ (a @ result.witness))
         assert achieved == pytest.approx(result.value, rel=1e-12)
@@ -481,7 +554,7 @@ def test_fill_over_several_chunks_is_bitwise_identical(monkeypatch):
     calls.clear()
     got = wradius.numerical_radius(a)
     # 5 chunks of the 15 first-pass angles, then 3 chunks for each later pass
-    assert [size for name, size in calls if name == "eigvalsh"] == [3] * 11
+    assert [size for name, size, _ in calls if name == "eigvalsh"] == [3] * 11
     assert got.value == want.value
     assert got.theta_star == want.theta_star
     assert np.array_equal(got.witness, want.witness)
