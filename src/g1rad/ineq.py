@@ -4,6 +4,8 @@ Each checker computes the left and right sides of one statement on concrete
 matrices and returns an InequalityReport with the tightness ratio lhs/rhs.
 Statements are named by their catalog ids (lemma21a..f, thm22, cor23,
 thm24, rem25, cor26, rem27); variants select the sign or expression form.
+Checkers take their operands as the sampler or G1Operator built them and
+re-check none of them; only rem25's own hypothesis, a self-adjoint X, is checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcalc, linalg, wradius
-from .errors import DimensionMismatch, NotSelfAdjoint
+from .errors import NotSelfAdjoint
 from .funcalc import HerglotzFunction
 from .g1gen import G1Operator
 
@@ -37,22 +39,14 @@ class InequalityReport:
     dim: int
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
-
-
-def _report(name, lhs, rhs, seed, dim) -> InequalityReport:
+def _report(name, lhs, rhs, seed, dim, equality=False) -> InequalityReport:
     lhs, rhs = float(lhs), float(rhs)
-    passed = lhs <= rhs * (1.0 + PASS_REL) + PASS_ABS
-    return InequalityReport(name, lhs, rhs, _ratio(lhs, rhs), bool(passed), seed, dim)
-
-
-def _equality_report(name, lhs, rhs, seed, dim) -> InequalityReport:
-    lhs, rhs = float(lhs), float(rhs)
-    passed = abs(lhs - rhs) <= EQUALITY_REL * (1.0 + rhs)
-    return InequalityReport(name, lhs, rhs, _ratio(lhs, rhs), bool(passed), seed, dim)
+    if equality:
+        passed = abs(lhs - rhs) <= EQUALITY_REL * (1.0 + rhs)
+    else:
+        passed = lhs <= rhs * (1.0 + PASS_REL) + PASS_ABS
+    ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
+    return InequalityReport(name, lhs, rhs, ratio, bool(passed), seed, dim)
 
 
 def _w(m: np.ndarray) -> float:
@@ -61,15 +55,6 @@ def _w(m: np.ndarray) -> float:
 
 def _norm(m: np.ndarray) -> float:
     return linalg.spectral_norm(m)
-
-
-def _same_dims(*mats) -> tuple:
-    """(n, *mats) with every operand coerced to one n x n complex matrix."""
-    mats = [linalg.as_matrix(m) for m in mats]
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats[1:]):
-        raise DimensionMismatch("operands must share one square size")
-    return (n, *mats)
 
 
 def _offdiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -89,61 +74,69 @@ def _f_of(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
     return funcalc.riesz_dunford(f, op)
 
 
+def _commutator(f, opa, opb, x, variant) -> np.ndarray:
+    """f(A) X fbar(B) - f(B) X fbar(A), or f(A) X fbar(B) + 2X + f(B) X fbar(A)."""
+    fa, fb = _f_of(f, opa), _f_of(f, opb)
+    if variant == "commutator":
+        return fa @ x @ linalg.adjoint(fb) - fb @ x @ linalg.adjoint(fa)
+    if variant == "anticommutator2X":
+        return fa @ x @ linalg.adjoint(fb) + 2.0 * x + fb @ x @ linalg.adjoint(fa)
+    raise ValueError(f"variant must be 'commutator' or 'anticommutator2X', got {variant!r}")
+
+
+def _cross(opa, opb, x) -> tuple:
+    """(A X B*, B X A*)."""
+    a, b = opa.matrix, opb.matrix
+    return a @ x @ linalg.adjoint(b), b @ x @ linalg.adjoint(a)
+
+
 def check_lemma21_a(a, x, seed: int = 0) -> InequalityReport:
     """w(A* X A) <= ||A||^2 w(X)."""
-    n, a, x = _same_dims(a, x)
     lhs = _w(linalg.adjoint(a) @ x @ a)
     rhs = _norm(a) ** 2 * _w(x)
-    return _report("lemma21a", lhs, rhs, seed, n)
+    return _report("lemma21a", lhs, rhs, seed, len(x))
 
 
 def check_lemma21_b(a, x, sign: str, seed: int = 0) -> InequalityReport:
     """w(A X +/- X A*) <= 2 ||A|| w(X)."""
-    n, a, x = _same_dims(a, x)
-    s = _sign(sign)
-    lhs = _w(a @ x + s * (x @ linalg.adjoint(a)))
+    lhs = _w(a @ x + _sign(sign) * (x @ linalg.adjoint(a)))
     rhs = 2.0 * _norm(a) * _w(x)
-    return _report(f"lemma21b:{sign}", lhs, rhs, seed, n)
+    return _report(f"lemma21b:{sign}", lhs, rhs, seed, len(x))
 
 
 def check_lemma21_c(a, b, x, y, sign: str, seed: int = 0) -> InequalityReport:
     """w(A* X B +/- B* Y A) <= 2 ||A|| ||B|| w([[0, X], [Y, 0]])."""
-    n, a, b, x, y = _same_dims(a, b, x, y)
-    s = _sign(sign)
-    lhs = _w(linalg.adjoint(a) @ x @ b + s * (linalg.adjoint(b) @ y @ a))
+    lhs = _w(linalg.adjoint(a) @ x @ b + _sign(sign) * (linalg.adjoint(b) @ y @ a))
     rhs = 2.0 * _norm(a) * _norm(b) * _w(_offdiag(x, y))
-    return _report(f"lemma21c:{sign}", lhs, rhs, seed, n)
+    return _report(f"lemma21c:{sign}", lhs, rhs, seed, len(x))
 
 
 def check_lemma21_d(a, b, x, y, seed: int = 0) -> InequalityReport:
     """w([[0, A X B*], [B Y A*, 0]]) <= max(||A||^2, ||B||^2) w([[0, X], [Y, 0]])."""
-    n, a, b, x, y = _same_dims(a, b, x, y)
     lhs = _w(_offdiag(a @ x @ linalg.adjoint(b), b @ y @ linalg.adjoint(a)))
     rhs = max(_norm(a) ** 2, _norm(b) ** 2) * _w(_offdiag(x, y))
-    return _report("lemma21d", lhs, rhs, seed, n)
+    return _report("lemma21d", lhs, rhs, seed, len(x))
 
 
 def check_lemma21_e(x, y, seed: int = 0) -> InequalityReport:
     """w([[0, X], [Y, 0]]) <= (w(X + Y) + w(X - Y)) / 2."""
-    n, x, y = _same_dims(x, y)
     lhs = _w(_offdiag(x, y))
     rhs = 0.5 * (_w(x + y) + _w(x - y))
-    return _report("lemma21e", lhs, rhs, seed, n)
+    return _report("lemma21e", lhs, rhs, seed, len(x))
 
 
 def check_lemma21_f(x, theta: float, seed: int = 0) -> InequalityReport:
     """Equality w([[0, X], [e^{i theta} X, 0]]) = w(X), checked both ways."""
-    x = linalg.as_matrix(x)
     lhs = _w(_offdiag(x, np.exp(1j * theta) * x))
     rhs = _w(x)
-    return _equality_report("lemma21f", lhs, rhs, seed, x.shape[0])
+    return _report("lemma21f", lhs, rhs, seed, len(x), equality=True)
 
 
 def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
                 seed: int = 0) -> InequalityReport:
     """w(f(A) X + X fbar(A)) <= (2/d^2) w(X - A X A*), and the difference form
     w(f(A) X - X fbar(A)) <= (4/d^2) ||A|| w(X)."""
-    n, a, x = _same_dims(op.matrix, x)
+    a = op.matrix
     fa = _f_of(f, op)
     fbar = linalg.adjoint(fa)
     if variant == "sum":
@@ -154,91 +147,65 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
         rhs = (4.0 / op.d**2) * _norm(a) * _w(x)
     else:
         raise ValueError(f"variant must be 'sum' or 'diff', got {variant!r}")
-    return _report(f"thm22:{variant}", lhs, rhs, seed, n)
+    return _report(f"thm22:{variant}", lhs, rhs, seed, op.dim)
 
 
 def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
     """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||."""
     a = op.matrix
-    n = a.shape[0]
     fa = _f_of(f, op)
     if variant == "re":
         lhs = _norm(linalg.herm_part(fa))
-        rhs = (1.0 / op.d**2) * _norm(np.eye(n) - a @ linalg.adjoint(a))
+        rhs = (1.0 / op.d**2) * _norm(np.eye(op.dim) - a @ linalg.adjoint(a))
     elif variant == "im":
         lhs = _norm(linalg.skew_part(fa))
         rhs = (2.0 / op.d**2) * _norm(a)
     else:
         raise ValueError(f"variant must be 're' or 'im', got {variant!r}")
-    return _report(f"cor23:{variant}", lhs, rhs, seed, n)
-
-
-def _two_operator_pieces(f, opa, opb, x):
-    n, _, _, x = _same_dims(opa.matrix, opb.matrix, x)
-    fa = _f_of(f, opa)
-    fb = _f_of(f, opb)
-    return n, x, fa, fb, linalg.adjoint(fa), linalg.adjoint(fb)
-
-
-def _commutator_form(fa, fb, fbar_a, fbar_b, x, variant):
-    if variant == "commutator":
-        return fa @ x @ fbar_b - fb @ x @ fbar_a
-    if variant == "anticommutator2X":
-        return fa @ x @ fbar_b + 2.0 * x + fb @ x @ fbar_a
-    raise ValueError(f"variant must be 'commutator' or 'anticommutator2X', got {variant!r}")
+    return _report(f"cor23:{variant}", lhs, rhs, seed, op.dim)
 
 
 def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (2/(dA dB)) [2w(X) + w(AXB* + BXA*) + w(AXB* - BXA*)]."""
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
-    lhs = _w(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
-    a, b = opa.matrix, opb.matrix
-    axb = a @ x @ linalg.adjoint(b)
-    bxa = b @ x @ linalg.adjoint(a)
+    lhs = _w(_commutator(f, opa, opb, x, variant))
+    axb, bxa = _cross(opa, opb, x)
     rhs = (2.0 / (opa.d * opb.d)) * (2.0 * _w(x) + _w(axb + bxa) + _w(axb - bxa))
-    return _report(f"thm24:{variant}", lhs, rhs, seed, n)
+    return _report(f"thm24:{variant}", lhs, rhs, seed, len(x))
 
 
 def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """Operator-norm form for self-adjoint X:
     ||f(A) X fbar(B) -/+ ...|| <= (4/(dA dB)) max(||X|| + ||AXB*||, ||X|| + ||BXA*||)."""
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
-    if np.linalg.norm(x - linalg.adjoint(x)) > SELFADJOINT_TOL:
+    if not (np.linalg.norm(x - linalg.adjoint(x)) <= SELFADJOINT_TOL):
         raise NotSelfAdjoint("X must be self-adjoint within tolerance")
-    lhs = _norm(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
-    a, b = opa.matrix, opb.matrix
-    axb = a @ x @ linalg.adjoint(b)
-    bxa = b @ x @ linalg.adjoint(a)
+    lhs = _norm(_commutator(f, opa, opb, x, variant))
+    axb, bxa = _cross(opa, opb, x)
     nx = _norm(x)
     rhs = (4.0 / (opa.d * opb.d)) * max(nx + _norm(axb), nx + _norm(bxa))
-    return _report(f"rem25:{variant}", lhs, rhs, seed, n)
+    return _report(f"rem25:{variant}", lhs, rhs, seed, len(x))
 
 
 def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
     """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||)."""
-    n, a, b = _same_dims(opa.matrix, opb.matrix)
-    fa = _f_of(f, opa)
-    fb = _f_of(f, opb)
-    product = fa @ linalg.adjoint(fb)
+    product = _f_of(f, opa) @ linalg.adjoint(_f_of(f, opb))
     if variant == "im":
         lhs = _norm(linalg.skew_part(product))
     elif variant == "re_plus_I":
-        lhs = _norm(linalg.herm_part(product) + np.eye(n))
+        lhs = _norm(linalg.herm_part(product) + np.eye(opa.dim))
     else:
         raise ValueError(f"variant must be 'im' or 're_plus_I', got {variant!r}")
-    rhs = (2.0 / (opa.d * opb.d)) * (1.0 + _norm(a @ linalg.adjoint(b)))
-    return _report(f"cor26:{variant}", lhs, rhs, seed, n)
+    rhs = (2.0 / (opa.d * opb.d)) * (1.0 + _norm(opa.matrix @ linalg.adjoint(opb.matrix)))
+    return _report(f"cor26:{variant}", lhs, rhs, seed, opa.dim)
 
 
 def check_rem27(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (4/(dA dB)) (1 + max(||A||^2, ||B||^2)) w(X)."""
-    n, x, fa, fb, fbar_a, fbar_b = _two_operator_pieces(f, opa, opb, x)
-    lhs = _w(_commutator_form(fa, fb, fbar_a, fbar_b, x, variant))
+    lhs = _w(_commutator(f, opa, opb, x, variant))
     norm_max = max(_norm(opa.matrix) ** 2, _norm(opb.matrix) ** 2)
     rhs = (4.0 / (opa.d * opb.d)) * (1.0 + norm_max) * _w(x)
-    return _report(f"rem27:{variant}", lhs, rhs, seed, n)
+    return _report(f"rem27:{variant}", lhs, rhs, seed, len(x))

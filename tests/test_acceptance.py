@@ -5,6 +5,7 @@ lines as they complete. Criterion 8 performs two full default-config runs
 and dominates the wall time (several minutes).
 """
 
+import hashlib
 import sys
 import time
 
@@ -16,6 +17,9 @@ from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import CertificationFailed, NotSelfAdjoint
 
 DIMS = (2, 3, 4, 6, 8)
+# SHA-256 of the default configuration's JSON and CSV reports
+DEFAULT_JSON_SHA256 = "f026515b514b10341d7656221223e87a94a87ffad0abce22adda428c97fd8e53"
+DEFAULT_CSV_SHA256 = "bc0ccc72078ffe293e559a2be3851d7da801fa586b3ce12eab07a7b10266ab2a"
 JORDAN = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
 
 
@@ -80,15 +84,8 @@ def test_criterion_2_thm22_suite():
 
 
 def _run_variant_suite(name, checker, needs_x, hermitian_x, pair, base_seed):
-    variants = {
-        "cor23": ("re", "im"),
-        "thm24": ("commutator", "anticommutator2X"),
-        "rem25": ("commutator", "anticommutator2X"),
-        "cor26": ("im", "re_plus_I"),
-        "rem27": ("commutator", "anticommutator2X"),
-    }[name]
     failures = 0
-    for variant in variants:
+    for variant in runner.SUITES[name].variants:
         for trial in range(200):
             n = DIMS[trial % len(DIMS)]
             rng = np.random.default_rng((base_seed, trial))
@@ -239,6 +236,9 @@ def test_criterion_8_determinism():
     text_first = runner.render_report(first.suites, first.details, "json", config)
     text_second = runner.render_report(second.suites, second.details, "json", config)
     bytes_ok = text_first.encode() == text_second.encode()
+    csv_text = runner.render_report(first.suites, first.details, "csv", config)
+    pinned_ok = (hashlib.sha256(text_first.encode()).hexdigest() == DEFAULT_JSON_SHA256
+                 and hashlib.sha256(csv_text.encode()).hexdigest() == DEFAULT_CSV_SHA256)
 
     replay_ok = True
     for suite, dim, trial in (("thm22", 4, 7), ("lemma21d", 8, 199), ("rem25", 3, 42)):
@@ -246,8 +246,9 @@ def test_criterion_8_determinism():
         if replayed not in first.details:
             replay_ok = False
     all_passed = all(s.passed == s.total for s in first.suites)
-    ok = bytes_ok and replay_ok and all_passed
+    ok = bytes_ok and pinned_ok and replay_ok and all_passed
     announce(8, ok,
              f"two default-config runs byte-identical: {bytes_ok}; "
+             f"JSON and CSV reports match their pinned SHA-256: {pinned_ok}; "
              f"replay reproduces sampled trials exactly: {replay_ok}; "
              f"default run all-pass: {all_passed}")

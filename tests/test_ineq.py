@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
-from g1rad.errors import DimensionMismatch, NotSelfAdjoint
+from g1rad.errors import NotSelfAdjoint
 from g1rad.funcalc import HerglotzFunction
 
 ATOM_AT_ZERO = HerglotzFunction(np.array([0.0]), np.array([1.0]))
@@ -55,9 +55,18 @@ def test_lemma21a_scale_covariance():
     assert scaled.ratio == pytest.approx(base.ratio, rel=1e-9)
 
 
-def test_lemma21a_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        ineq.check_lemma21_a(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+@pytest.mark.parametrize("check, args", [
+    (ineq.check_lemma21_a, (np.eye(2, dtype=complex), np.eye(3, dtype=complex))),
+    # a 1x1 Y must not broadcast against X
+    (ineq.check_lemma21_e, (np.eye(3, dtype=complex), np.ones((1, 1), dtype=complex))),
+    (ineq.check_thm24, (ATOM_AT_ZERO, zero_operator(3), zero_operator(2),
+                        np.eye(3, dtype=complex), "commutator")),
+], ids=["lemma21a", "lemma21e", "thm24"])
+def test_mismatched_operands_raise(check, args):
+    # checkers re-check no operand: the mismatched product raises, and no
+    # report is returned
+    with pytest.raises(ValueError):
+        check(*args)
 
 
 # ---------------------------------------------------------------- lemma21b
@@ -379,6 +388,13 @@ def test_rem25_rejects_non_hermitian_x():
         ineq.check_rem25(f, opa, opb, random_complex(rng, 3), "commutator")
 
 
+def test_rem25_rejects_nan_x():
+    x = np.eye(3, dtype=complex)
+    x[0, 1] = np.nan
+    with pytest.raises(NotSelfAdjoint):
+        ineq.check_rem25(ATOM_AT_ZERO, zero_operator(3), zero_operator(3), x, "commutator")
+
+
 def test_rem25_random_both_variants():
     rng = np.random.default_rng(111)
     for n in (2, 4):
@@ -450,6 +466,17 @@ def test_rem27_random_both_variants():
         x = random_complex(rng, n)
         for variant in ("commutator", "anticommutator2X"):
             assert ineq.check_rem27(f, opa, opb, x, variant).passed
+
+
+# ------------------------------------------------------------ variants
+
+@pytest.mark.parametrize("suite", [s for s, row in runner.SUITES.items()
+                                   if len(row.variants) > 1])
+def test_unknown_variant_raises(suite):
+    row = runner.SUITES[suite]
+    inputs = row.sample(np.random.default_rng(0), 2, runner.TrialConfig())
+    with pytest.raises(ValueError, match="must be"):
+        getattr(ineq, row.checker)(*inputs, "oops")
 
 
 # ------------------------------------------------------------ report shape
