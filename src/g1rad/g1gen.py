@@ -4,9 +4,17 @@ An operator is G1 when ||(z - A)^{-1}|| = 1 / dist(z, sigma(A)) away from
 its spectrum. Normal matrices satisfy this exactly, so the generated
 population is normal by construction: Haar unitary conjugations of spectra
 drawn uniformly inside a disk of radius rho_max < 1. Externally supplied
-candidates are admitted only through the numerical certificate, which
-sweeps the test points in chunks of at most _SWEEP_BYTES of stacked n x n
-matrices, so its memory stays bounded whatever n and the sample count.
+candidates are admitted only through the numerical certificate and, when
+they carry no unitary, a normality check. The certificate sweeps the test
+points in chunks of at most _SWEEP_BYTES of stacked n x n matrices, and
+each chunk builds its own points, so its memory stays bounded whatever n
+and the sample count: a chunk holds its points, the stack of zI - A and its
+inverse (linalg.resolvents), then the Gram stack of their norms. Both the
+inverse and the eigensolve run in numpy gufuncs outside the GIL, so files
+certify in parallel on threads: on 2 vCPUs the benchmark's certify-files
+workload reads ops_per_s 32.3/s on two threads and ops_per_s_1w 22.3/s on
+one (medians of 10 runs), where a per-point getrf/getrs loop read 21.4/s
+and 20.7/s.
 """
 
 from __future__ import annotations
@@ -41,6 +49,12 @@ def _fro(m: np.ndarray) -> float:
     return math.sqrt(np.vdot(m, m).real)
 
 
+def _is_normal(m: np.ndarray) -> bool:
+    """||A*A - AA*||_F <= NORMALITY_TOL ||A||_F^2; a NaN fails."""
+    adj = linalg.adjoint(m)
+    return _fro(adj @ m - m @ adj) <= NORMALITY_TOL * _fro(m) ** 2
+
+
 def boundary_distance(spectrum) -> float:
     """min_i (1 - |lambda_i|), the distance from the unit circle to the spectrum.
 
@@ -69,7 +83,12 @@ class G1Operator:
     growth-condition certificate is required. A certificate, when given,
     must be <= CERT_THRESHOLD whether or not a unitary is present; it is
     checked first, so a failing certificate is reported as such even when
-    the rest of the bundle is inconsistent too. Every check is written as
+    the rest of the bundle is inconsistent too. A finite-dimensional G1
+    matrix is normal, so every operator must pass the NORMALITY_TOL check:
+    with a unitary its failure is a ValueError, like the bundle's other
+    inconsistencies; without one it is a CertificationFailed, raised after
+    the certificate check, since the sampled certificate can miss a small
+    departure from normality. Every check is written as
     "not (value <= tolerance)", so a NaN value fails it.
     """
 
@@ -99,12 +118,13 @@ class G1Operator:
                 raise ValueError("diagonalizer is not unitary within tolerance")
             if not (_fro((u * lam) @ u_adj - matrix) <= RECONSTRUCTION_TOL):
                 raise ValueError("matrix does not match U diag(spectrum) U*")
-            adj = linalg.adjoint(matrix)
-            if not (_fro(adj @ matrix - matrix @ adj) <= NORMALITY_TOL * _fro(matrix) ** 2):
+            if not _is_normal(matrix):
                 raise ValueError("matrix is not normal within tolerance")
             object.__setattr__(self, "unitary", u)
         elif self.certificate is None:
             raise CertificationFailed("operators without a diagonalizer need a growth certificate")
+        elif not _is_normal(matrix):
+            raise CertificationFailed("matrix is not normal within tolerance")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", lam)
 
@@ -150,6 +170,26 @@ def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
     return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary)
 
 
+def _test_points(lam: np.ndarray, circle_samples: int, start: int, stop: int) -> np.ndarray:
+    """Points start to stop - 1 of the certify sweep, built from their indices.
+
+    The sweep is the unit circle, then the circles of radii RING_RADII
+    around each eigenvalue in turn, each sampled at the circle_samples
+    angles 2 pi j / circle_samples. Every point is the same double whatever
+    range it is built in.
+    """
+    parts = []
+    for block in range(start // circle_samples, (stop - 1) // circle_samples + 1):
+        first = block * circle_samples
+        j = np.arange(max(start, first) - first, min(stop, first + circle_samples) - first)
+        ring = np.exp(2j * np.pi * j / circle_samples)
+        if block:
+            center, radius = divmod(block - 1, len(RING_RADII))
+            ring = lam[center] + RING_RADII[radius] * ring
+        parts.append(ring)
+    return np.concatenate(parts)
+
+
 def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
     """Worst deviation |resolvent norm * dist - 1| over the sampling set.
 
@@ -157,10 +197,12 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
     one sweep of the unit circle; points closer than TESTPOINT_GUARD to the
     spectrum are dropped to keep the resolvent solves conditioned. The
     points are swept in order, in chunks of at most _SWEEP_BYTES of stacked
-    n x n matrices (at least one point): the loop computes each chunk's
-    distances to the spectrum, and linalg.spectral_norm of the chunk's
-    linalg.resolvents its resolvent norms. A Singular point stops the sweep.
-    A spectrum without one eigenvalue per row raises ValueError first.
+    n x n matrices (at least one point). Each chunk builds its own points
+    from its index range (_test_points), computes their distances to the
+    spectrum, and takes linalg.spectral_norm of their linalg.resolvents as
+    the resolvent norms, so no array spans the whole sweep. A Singular
+    point stops the sweep. A spectrum without one eigenvalue per row raises
+    ValueError first.
     """
     a = linalg.as_matrix(matrix)
     lam = np.asarray(spectrum, dtype=np.complex128).ravel()
@@ -168,17 +210,11 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
         raise ValueError(f"{lam.size} eigenvalues for a {a.shape[0]}x{a.shape[0]} matrix")
     if circle_samples < 1:
         raise ConfigError("circle_samples must be positive")
-    ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
-    points = [ring]
-    for center in lam:
-        for rho in RING_RADII:
-            points.append(center + rho * ring)
-    z = np.concatenate(points)
-    del points
+    total = circle_samples * (1 + len(RING_RADII) * lam.size)
     chunk = max(1, _SWEEP_BYTES // a.nbytes)
     worst = 0.0
-    for start in range(0, z.size, chunk):
-        zc = z[start:start + chunk]
+    for start in range(0, total, chunk):
+        zc = _test_points(lam, circle_samples, start, min(start + chunk, total))
         dist = np.abs(zc[:, None] - lam[None, :]).min(axis=1)
         keep = dist >= TESTPOINT_GUARD
         norms = linalg.spectral_norm(linalg.resolvents(a, zc[keep]))
@@ -186,4 +222,3 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
         # fmax skips a NaN deviation, as max(worst, nan) does
         worst = float(np.fmax.reduce(dev, initial=worst))
     return worst
-

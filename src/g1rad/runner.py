@@ -263,7 +263,8 @@ def load_operator(path, circle_samples: int = 64) -> G1Operator:
     candidates without a spectrum cannot be admitted. An inconsistent file,
     such as one whose spectrum lacks an eigenvalue per row or whose "d" is
     more than D_TOL from the operator's own, raises ParseError, after the
-    certificate is checked.
+    certificate is checked. A certificate-only candidate that is not normal
+    raises CertificationFailed (see G1Operator).
     """
     obj = serialize.read_json(path)
     if not isinstance(obj, dict):

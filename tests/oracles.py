@@ -147,22 +147,29 @@ def _resolvent_norm(a, z) -> float:
     return linalg.spectral_norm(solve(complex(z) * eye - a, eye))
 
 
-def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:
-    """g1gen.certify_core one test point at a time: an LU solve against I and
-    a spectral norm per point, over a full (points x n) distance table.
-
-    The stacked sweep must match it bit for bit.
-    """
-    a = linalg.as_matrix(matrix)
-    lam = np.asarray(spectrum, dtype=np.complex128).ravel()
-    if circle_samples < 1:
-        raise ConfigError("circle_samples must be positive")
+def sweep_points(lam, circle_samples: int) -> np.ndarray:
+    """Every test point of the certify sweep, in order, as one array: the
+    unit circle, then the rings of g1gen.RING_RADII around each eigenvalue."""
     ring = np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
     points = [ring]
     for center in lam:
         for rho in g1gen.RING_RADII:
             points.append(center + rho * ring)
-    z = np.concatenate(points)
+    return np.concatenate(points)
+
+
+def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:
+    """g1gen.certify_core one test point at a time: an LU solve against I and
+    a spectral norm per point, over all sweep_points and a full (points x n)
+    distance table.
+
+    The chunked sweep must match it bit for bit.
+    """
+    a = linalg.as_matrix(matrix)
+    lam = np.asarray(spectrum, dtype=np.complex128).ravel()
+    if circle_samples < 1:
+        raise ConfigError("circle_samples must be positive")
+    z = sweep_points(lam, circle_samples)
     dist = np.abs(z[:, None] - lam[None, :]).min(axis=1)
     keep = dist >= g1gen.TESTPOINT_GUARD
     worst = 0.0

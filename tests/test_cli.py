@@ -134,6 +134,18 @@ def test_certify_rejects_jordan_block(tmp_path, capsys):
     assert "certification failed" in err
 
 
+def test_certify_rejects_a_non_normal_bare_matrix(tmp_path, capsys):
+    # its sampled certificate is about 1.8e-8, but ||A*A - AA*||_F / ||A||_F^2
+    # is about 1.5e-5, and a finite-dimensional G1 matrix is normal
+    obj = serialize.matrix_to_json(np.array([[0.5, 1e-5], [0.0, 0.2]], dtype=complex))
+    obj["spectrum"] = [[0.5, 0.0], [0.2, 0.0]]
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "certification failed: matrix is not normal within tolerance\n"
+
+
 def test_certify_reports_a_failed_certificate_before_a_wrong_d(tmp_path, capsys):
     # the certificate is checked first, so the wrong d never surfaces as a parse error
     jordan = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)

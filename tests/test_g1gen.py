@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -248,6 +249,20 @@ def test_operator_validation_rejects_non_normal_without_certificate():
                 g1gen.G1Operator(**bundle)
 
 
+def test_certificate_only_operator_must_be_normal():
+    # a bare-file candidate that the sampled certificate admits, but whose
+    # commutator ||A*A - AA*||_F / ||A||_F^2 is about 1.5e-5
+    tilted = np.array([[0.5, 1e-5], [0.0, 0.2]], dtype=complex)
+    certificate = g1gen.certify_core(tilted, [0.5, 0.2])
+    assert certificate <= g1gen.CERT_THRESHOLD
+    with pytest.raises(CertificationFailed, match="^matrix is not normal within tolerance$"):
+        g1gen.G1Operator(matrix=tilted, spectrum=[0.5, 0.2], unitary=None,
+                         certificate=certificate)
+    # a failing certificate is still reported first
+    with pytest.raises(CertificationFailed, match="certificate"):
+        g1gen.G1Operator(matrix=tilted, spectrum=[0.5, 0.2], unitary=None, certificate=1.0)
+
+
 def test_operator_rejects_failed_certificate_even_with_unitary():
     op = g1gen.random_g1(seed=129, n=3, rho_max=0.8)
     for certificate in (1.0, np.nan):
@@ -309,6 +324,54 @@ def test_sweep_budget_does_not_change_the_certificate(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(g1gen, "_SWEEP_BYTES", budget)
                 assert g1gen.certify_core(matrix, spectrum) == expected
+
+
+@pytest.mark.parametrize("n, samples", [(1, 1), (3, 7), (5, 64)])
+def test_test_points_are_the_same_doubles_in_any_range(n, samples):
+    lam = g1gen.random_g1(seed=17 + n, n=n, rho_max=0.8).spectrum
+    expected = oracles.sweep_points(lam, samples)
+    total = expected.size
+    assert g1gen._test_points(lam, samples, 0, total).tobytes() == expected.tobytes()
+    for step in (1, 5, samples + 1, 2 * samples):
+        pieces = [g1gen._test_points(lam, samples, i, min(i + step, total))
+                  for i in range(0, total, step)]
+        assert np.concatenate(pieces).tobytes() == expected.tobytes()
+
+
+def test_certify_sweep_does_not_hold_its_points():
+    # 20,000 samples at n = 2 are 140,000 test points; one array of them
+    # takes 2.2 MB, and their (points x n) distance table 4.5 MB
+    op = g1gen.random_g1(seed=18, n=2, rho_max=0.8)
+    tracemalloc.start()
+    try:
+        g1gen.certify_core(op.matrix, op.spectrum, circle_samples=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * g1gen._SWEEP_BYTES
+
+
+def test_generated_operators_certify_without_getrf(getrf_calls):
+    # the pivot bound clears every point of a normal operator's sweep, so
+    # a return to one getrf per point shows up here
+    for n in (1, 4, 8, 16):
+        op = g1gen.random_g1(seed=300 + n, n=n, rho_max=0.8)
+        g1gen.certify_core(op.matrix, op.spectrum)
+    assert getrf_calls == []
+    # the counter does see the per-point route, 1e-9 from the Jordan block's
+    # eigenvalue
+    linalg.resolvents(JORDAN, [0.5 + 1e-9])
+    assert getrf_calls == [(2, 2)]
+
+
+def test_concurrent_certificates_match_serial_ones_bitwise():
+    ops = [g1gen.random_g1(seed=400 + n, n=n, rho_max=0.8) for n in (8, 16)]
+    serial = [g1gen.certify_core(op.matrix, op.spectrum) for op in ops]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            threaded = list(pool.map(lambda op: g1gen.certify_core(op.matrix, op.spectrum),
+                                     ops, timeout=120))
+            assert [x.hex() for x in threaded] == [x.hex() for x in serial]
 
 
 def test_certify_memory_stays_within_budget(monkeypatch):

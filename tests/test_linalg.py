@@ -163,16 +163,43 @@ def test_concurrent_solves_leave_warning_filters_alone():
     assert warnings.filters == before
 
 
-def test_resolvent_norms_match_pointwise_solves_bitwise():
+def test_resolvent_norms_match_pointwise_solves_bitwise(getrf_calls):
     rng = np.random.default_rng(8)
-    for n in (1, 2, 5, 9):
+    for n in (1, 2, 5, 9, 16):
         a = random_complex(rng, n)
-        points = 3.0 * rng.standard_normal(12) + 3.0j * rng.standard_normal(12)
+        far = 3.0 * rng.standard_normal(12) + 3.0j * rng.standard_normal(12)
+        # within 1e-9 of each eigenvalue, where the pivot bound cannot clear
+        # a point and getrf factors it again; a 1x1 M has
+        # ||M||_F ||M^{-1}||_F = 1, so the bound clears every point at n = 1
+        near = np.linalg.eigvals(a) + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=n))
+        refactored = n if n > 1 else 0
         eye = np.eye(n, dtype=complex)
-        expected = np.array([oracles.solve(z * eye - a, eye) for z in points])
-        stack = linalg.resolvents(a, points)
-        assert stack.tobytes() == expected.tobytes()
-        assert linalg.spectral_norm(stack).tolist() == [linalg.spectral_norm(m) for m in expected]
+        for points, count in ((far, 0), (near, refactored),
+                              (np.concatenate((far, near)), refactored)):
+            expected = np.array([oracles.solve(z * eye - a, eye) for z in points])
+            getrf_calls.clear()
+            stack = linalg.resolvents(a, points)
+            assert len(getrf_calls) == count
+            assert stack.tobytes() == expected.tobytes()
+            assert linalg.spectral_norm(stack).tolist() == [
+                linalg.spectral_norm(m) for m in expected]
+
+
+def test_a_singular_stack_raises_at_its_first_near_singular_point(getrf_calls):
+    # 0.25 + 2 ulp leaves a pivot of 1.1e-16, below the guard but not zero;
+    # 0.5 makes zI - A exactly singular, so np.linalg.inv rejects the stack
+    # and every point is factored by getrf, in order
+    a = np.diag([0.5, 0.25]).astype(complex)
+    points = [0.9, 0.25 + 1e-16, 0.9j, 0.5]
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.array([z * eye - a for z in points]))
+    with pytest.raises(Singular) as first:
+        oracles.solve(points[1] * eye - a, eye)
+    with pytest.raises(Singular) as exc:
+        linalg.resolvents(a, points)
+    assert str(exc.value) == str(first.value) == "pivot 1.110e-16 below threshold"
+    assert len(getrf_calls) == 2
 
 
 def test_resolvent_norms_empty_points():
