@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import linalg
 from .errors import CertificationFailed, ConfigError, SpectrumOnBoundary
@@ -38,10 +37,6 @@ RING_RADII = (0.05, 0.1, 0.2)
 # Bytes of stacked n x n matrices per chunk of the certify sweep. The
 # sweep holds a few such stacks at once.
 _SWEEP_BYTES = 256 << 10
-# Householder QR of the Haar sampler: geqrf factors, ungqr forms Q. They are
-# the LAPACK routines behind np.linalg.qr, without its Python overhead, and
-# the tests hold their Q and R to its bits.
-_GEQRF, _UNGQR = get_lapack_funcs(("geqrf", "ungqr"), dtype=np.complex128)
 
 
 def _fro(m: np.ndarray) -> float:
@@ -136,13 +131,13 @@ class G1Operator:
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R diagonal.
 
-    geqrf leaves R on and above the diagonal of its output, so diag(R) is
-    read from there; ungqr turns the reflectors below it into Q.
+    np.linalg.qr runs LAPACK geqrf and ungqr from numpy's own LAPACK, so
+    sampling loads no second one (the tests hold it to the bits of scipy's
+    geqrf/ungqr).
     """
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    qr, tau, _, _ = _GEQRF(z)
-    q, _, _ = _UNGQR(qr, tau)
-    diag = qr.diagonal()
+    q, r = np.linalg.qr(z)
+    diag = r.diagonal()
     size = np.abs(diag)
     return q * np.where(size > 0.0, diag / size, 1.0)
 

@@ -4,15 +4,17 @@ All functions are pure; matrices are square complex ndarrays treated as
 immutable values. Tolerances are relative, anchored to the Frobenius norm.
 Resolvent stacks are inverted by one np.linalg.inv call, which runs LAPACK
 outside the GIL; only points that a pivot bound cannot clear are factored
-again by LAPACK getrf/getrs, called directly. Neither warns (unlike scipy's
+again by scipy's getrf/getrs, imported on the first such point, so most
+processes load numpy's LAPACK only. Neither warns (unlike scipy's
 lu_factor; np.linalg.inv raises LinAlgError), so no warning filter has to be
 edited: the process-wide filter list is not thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionMismatch, Singular
 
@@ -21,7 +23,15 @@ PIVOT_TOL = 1e-13
 # n * PIVOT_TOL * ||M||_F * ||M^{-1}||_F at or below this clears a point of
 # resolvents without getrf (see there)
 _CLEAR_MARGIN = 2.0**-20
-_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+@functools.cache
+def _lu_routines():
+    """scipy's LAPACK getrf and getrs for complex128. scipy.linalg is imported
+    on first use: it loads a second OpenBLAS and costs more than g1rad."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -109,10 +119,10 @@ def resolvents(a: np.ndarray, points) -> np.ndarray:
     for larger ones unless their growth is extreme. On the certify sweeps
     of the benchmark's operator files the product is at most about 4e-9.
     Each point that the bound does not clear (a NaN product included) is
-    factored again by getrf, checked and solved by getrs, in order; when
-    np.linalg.inv finds an exactly singular matrix, every point is. So
-    Singular is raised at the same first point, with the same message, as
-    by a getrf/getrs loop. The Frobenius norms come from _fro_norms. Memory
+    factored again by getrf, checked and solved by getrs (_lu_routines), in
+    order; when np.linalg.inv finds an exactly singular matrix, every point
+    is. So Singular is raised at the same first point, with the same
+    message, as by a getrf/getrs loop. The Frobenius norms come from _fro_norms. Memory
     is two stacks of len(points) n x n matrices, M and its inverse; callers
     chunk the points.
     """
@@ -133,9 +143,10 @@ def resolvents(a: np.ndarray, points) -> np.ndarray:
         suspects = np.flatnonzero(~cleared).tolist()
     floors = (PIVOT_TOL * norms).tolist()
     for k in suspects:
-        lu, piv, _ = _GETRF(m[k])
+        getrf, getrs = _lu_routines()
+        lu, piv, _ = getrf(m[k])
         min_pivot = min(map(abs, lu.diagonal().tolist()))
         if min_pivot <= floors[k]:
             raise Singular(f"pivot {min_pivot:.3e} below threshold")
-        inv[k] = _GETRS(lu, piv, eye)[0]
+        inv[k] = getrs(lu, piv, eye)[0]
     return inv

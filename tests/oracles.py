@@ -131,13 +131,18 @@ def fbar_direct(f, a) -> np.ndarray:
 
 
 def haar_unitary_qr(rng: np.random.Generator, n: int) -> np.ndarray:
-    """g1gen.haar_unitary through np.linalg.qr, from the same two draws.
+    """g1gen.haar_unitary's QR through scipy's LAPACK geqrf and ungqr, from
+    the same two draws: geqrf leaves R on and above the diagonal of its
+    output, so diag(R) is read from there, and ungqr turns the reflectors
+    below it into Q.
 
-    The LAPACK geqrf/ungqr route must give the same unitary bit for bit.
+    The np.linalg.qr route of g1gen must give the same unitary bit for bit.
     """
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
+    geqrf, ungqr = get_lapack_funcs(("geqrf", "ungqr"), dtype=np.complex128)
+    qr, tau, _, _ = geqrf(z)
+    q, _, _ = ungqr(qr, tau)
+    diag = qr.diagonal()
     phases = np.where(np.abs(diag) > 0.0, diag / np.abs(diag), 1.0)
     return q * phases
 

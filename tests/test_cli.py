@@ -408,6 +408,32 @@ def test_package_root_imports_no_numpy():
     assert _python_output(code, env).split() == ["False"]
 
 
+def test_commands_never_load_scipy_linalg(tmp_path):
+    # numpy's LAPACK is the only one that verify, wrad and the certify sweep
+    # of a well-conditioned file need; scipy.linalg loads only for the
+    # resolvent points that linalg.resolvents' pivot bound cannot clear
+    op = g1gen.random_g1(seed=5, n=4, rho_max=0.8)
+    matrix, bundle, bare = (tmp_path / f"{name}.json" for name in ("matrix", "bundle", "bare"))
+    matrix.write_text(serialize.dumps(serialize.matrix_to_json(op.matrix)))
+    bundle.write_text(serialize.dumps(serialize.g1operator_to_json(op)))
+    bare.write_text(serialize.dumps(dict(serialize.matrix_to_json(op.matrix),
+                                         spectrum=serialize.spectrum_to_json(op.spectrum))))
+    code = (
+        "import sys\n"
+        "from g1rad import cli\n"
+        "codes = [cli.main(['verify', '--suites', 'all', '--dims', '2', '--trials', '2',"
+        " '--format', 'csv']),\n"
+        "         cli.main(['wrad', '--input', sys.argv[1]]),\n"
+        "         cli.main(['certify', '--input', sys.argv[2]]),\n"
+        "         cli.main(['certify', '--input', sys.argv[3]])]\n"
+        "print(codes, 'scipy.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code, str(matrix), str(bundle), str(bare)],
+                           env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
 def test_verify_exit_code_on_failed_check(monkeypatch, capsys):
     # a genuine violation cannot be produced by honest inputs, so doctor the
     # runner to confirm the exit-code contract
