@@ -8,13 +8,17 @@ candidates are admitted only through the numerical certificate and, when
 they carry no unitary, a normality check. The certificate sweeps the test
 points in chunks of at most _SWEEP_BYTES of stacked n x n matrices, and
 each chunk builds its own points, so its memory stays bounded whatever n
-and the sample count: a chunk holds its points, the stack of zI - A and its
-inverse (linalg.resolvents), then the Gram stack of their norms. Both the
-inverse and the eigensolve run in numpy gufuncs outside the GIL, so files
-certify in parallel on threads: on 2 vCPUs the benchmark's certify-files
-workload reads ops_per_s 32.3/s on two threads and ops_per_s_1w 22.3/s on
-one (medians of 10 runs), where a per-point getrf/getrs loop read 21.4/s
-and 20.7/s.
+and the sample count. A sweep allocates one workspace of two chunk-sized
+stacks, which holds zI - A (linalg.resolvents), then conj(R), |R| and the
+Gram stack of the inverses R (linalg.spectral_norm), so only R is allocated
+per chunk and the workspace stays mapped for the whole sweep. Stacks
+allocated per chunk were trimmed by glibc after each chunk and faulted back
+by the next: 7,840 minor faults per n = 16 sweep, against 26-230 with the
+workspace. Both the inverse and the eigensolve run in numpy gufuncs outside
+the GIL, so files certify in parallel on threads: on 2 vCPUs the
+benchmark's certify-files workload reads ops_per_s 36.2/s on two threads
+and ops_per_s_1w 26.6/s on one (medians of 30 runs), against 33.1/s and
+23.2/s with per-chunk stacks.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ CERT_THRESHOLD = 1e-6
 TESTPOINT_GUARD = 1e-6
 RING_RADII = (0.05, 0.1, 0.2)
 # Bytes of stacked n x n matrices per chunk of the certify sweep. The
-# sweep holds a few such stacks at once.
+# sweep holds three such stacks at once: its workspace and the inverses.
 _SWEEP_BYTES = 256 << 10
 
 
@@ -207,12 +211,13 @@ def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
         raise ConfigError("circle_samples must be positive")
     total = circle_samples * (1 + len(RING_RADII) * lam.size)
     chunk = max(1, _SWEEP_BYTES // a.nbytes)
+    workspace = np.empty((2, min(chunk, total)) + a.shape, dtype=np.complex128)
     worst = 0.0
     for start in range(0, total, chunk):
         zc = _test_points(lam, circle_samples, start, min(start + chunk, total))
         dist = np.abs(zc[:, None] - lam[None, :]).min(axis=1)
         keep = dist >= TESTPOINT_GUARD
-        norms = linalg.spectral_norm(linalg.resolvents(a, zc[keep]))
+        norms = linalg.spectral_norm(linalg.resolvents(a, zc[keep], workspace), workspace)
         dev = np.abs(norms * dist[keep] - 1.0)
         # fmax skips a NaN deviation, as max(worst, nan) does
         worst = float(np.fmax.reduce(dev, initial=worst))

@@ -59,13 +59,20 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - adjoint(a)) / 2j
 
 
-def _gram_norm(a: np.ndarray) -> float | np.ndarray:
-    """sqrt(lambda_max(A*A)) of A as given, for one matrix or a stack."""
-    gram = np.conj(a).swapaxes(-1, -2) @ a
+def _slot(workspace: np.ndarray | None, i: int, k: int) -> np.ndarray | None:
+    """workspace[i, :k] as an out= argument; None, a fresh array, without one."""
+    return None if workspace is None else workspace[i, :k]
+
+
+def _gram_norm(a: np.ndarray, workspace: np.ndarray | None) -> float | np.ndarray:
+    """sqrt(lambda_max(A*A)) of A as given, for one matrix or a stack; with a
+    workspace, conj(A) goes to workspace[0] and A*A to workspace[1]."""
+    conj = np.conjugate(a, out=_slot(workspace, 0, len(a)))
+    gram = np.matmul(conj.swapaxes(-1, -2), a, out=_slot(workspace, 1, len(a)))
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
-def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+def spectral_norm(a: np.ndarray, workspace: np.ndarray | None = None) -> float | np.ndarray:
     """Operator norm sqrt(lambda_max(A*A)) of one matrix, or of each matrix in a stack.
 
     When every matrix has its largest modulus in [2^-200, 2^200], A*A is
@@ -75,15 +82,22 @@ def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     2^-e A, with e the exponent that brings its largest modulus into
     [1/2, 1) (but at least -1023, so that 2^-e is finite), and its norm is
     scaled back by 2^e; sqrt(4^-e x) = 2^-e sqrt(x) is exact.
+
+    A stack of k matrices may come with a workspace: a complex128 array of
+    shape (2, m, n, n) with m >= k, as resolvents takes. |A| goes to the
+    real view of workspace[1, :k], then conj(A) to workspace[0, :k] and the
+    Gram stack to workspace[1, :k], so a stack in range allocates no stack
+    of the size of A; the norms have the same bits either way.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-1] == 0:
         raise DimensionMismatch(f"expected nonempty matrices, got shape {a.shape}")
-    big = np.abs(a).max(axis=(-2, -1))
+    scratch = _slot(workspace, 1, len(a))
+    big = np.abs(a, out=None if scratch is None else scratch.real).max(axis=(-2, -1))
     if all(2.0**-200 <= x <= 2.0**200 for x in big.ravel().tolist()):
-        return _gram_norm(a)
+        return _gram_norm(a, workspace)
     exp = np.maximum(np.frexp(big)[1], -1023)
-    return np.ldexp(_gram_norm(a * np.ldexp(1.0, -exp)[..., None, None]), exp)
+    return np.ldexp(_gram_norm(a * np.ldexp(1.0, -exp)[..., None, None], workspace), exp)
 
 
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
@@ -94,7 +108,7 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kij,kij->k", parts, parts))
 
 
-def resolvents(a: np.ndarray, points) -> np.ndarray:
+def resolvents(a: np.ndarray, points, workspace: np.ndarray | None = None) -> np.ndarray:
     """The stack of (zI - A)^{-1} over the points z, in order.
 
     The stack M of every zI - A is inverted by one np.linalg.inv call: LAPACK
@@ -122,15 +136,20 @@ def resolvents(a: np.ndarray, points) -> np.ndarray:
     factored again by getrf, checked and solved by getrs (_lu_routines), in
     order; when np.linalg.inv finds an exactly singular matrix, every point
     is. So Singular is raised at the same first point, with the same
-    message, as by a getrf/getrs loop. The Frobenius norms come from _fro_norms. Memory
-    is two stacks of len(points) n x n matrices, M and its inverse; callers
-    chunk the points.
+    message, as by a getrf/getrs loop. The Frobenius norms come from _fro_norms.
+
+    Memory is two stacks of k = len(points) n x n matrices, M and its
+    inverse; callers chunk the points. A workspace, a complex128 array of
+    shape (2, m, n, n) with m >= k, takes M in workspace[0, :k], so only the
+    inverse is allocated; spectral_norm then reuses the same workspace,
+    since M is dead by then. A caller that sweeps many chunks allocates the
+    workspace once, and its pages stay mapped between chunks.
     """
     a = np.asarray(a, dtype=np.complex128)
     z = np.asarray(points, dtype=np.complex128).ravel()
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    m = z[:, None, None] * eye
+    m = np.multiply(z[:, None, None], eye, out=_slot(workspace, 0, z.size))
     m -= a
     norms = _fro_norms(m)
     try:

@@ -1,7 +1,11 @@
 """Tests for operator generation, boundary distance, and certification."""
 
 import hashlib
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -326,6 +330,23 @@ def test_sweep_budget_does_not_change_the_certificate(monkeypatch):
                 assert g1gen.certify_core(matrix, spectrum) == expected
 
 
+def test_dropped_points_and_partial_chunks_match_the_pointwise_oracle(monkeypatch):
+    # the 0.05-ring around 0.5 meets 0.55 (point 64) and the 0.05-ring
+    # around 0.55 meets 0.5 (point 288), so both are dropped. At 3 points a
+    # chunk, point 64 is the middle of its chunk, point 288 the first of
+    # its, and the 448th point fills a chunk of its own; at 1 point a chunk,
+    # a dropped point leaves an empty one.
+    matrix, spectrum = np.diag([0.5, 0.55]).astype(complex), np.array([0.5, 0.55])
+    dist = np.abs(oracles.sweep_points(spectrum, 64)[:, None] - spectrum).min(axis=1)
+    assert np.flatnonzero(dist < g1gen.TESTPOINT_GUARD).tolist() == [64, 288]
+    expected = oracles.certify_pointwise(matrix, spectrum)
+    assert g1gen.certify_core(matrix, spectrum) == expected
+    for budget in (3 * matrix.nbytes, matrix.nbytes):
+        with monkeypatch.context() as patch:
+            patch.setattr(g1gen, "_SWEEP_BYTES", budget)
+            assert g1gen.certify_core(matrix, spectrum) == expected
+
+
 @pytest.mark.parametrize("n, samples", [(1, 1), (3, 7), (5, 64)])
 def test_test_points_are_the_same_doubles_in_any_range(n, samples):
     lam = g1gen.random_g1(seed=17 + n, n=n, rho_max=0.8).spectrum
@@ -349,6 +370,33 @@ def test_certify_sweep_does_not_hold_its_points():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * g1gen._SWEEP_BYTES
+
+
+def test_certify_sweep_keeps_its_stacks_mapped():
+    # one workspace serves every chunk of a sweep. Stacks allocated afresh
+    # per chunk are trimmed by the allocator after each chunk and faulted
+    # back by the next: about 7,800 minor faults per n = 16 sweep. Whether
+    # glibc trims depends on the process's allocation history, which this
+    # suite's other tests change, and even the size of the environment can,
+    # so the sweeps run in a fresh process that loads g1gen only, with
+    # PYTHONPATH as its whole environment.
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the counts above come from glibc's malloc")
+    code = (
+        "import resource\n"
+        "from g1rad import g1gen\n"
+        "op = g1gen.random_g1(316, 16, 0.8)\n"
+        "g1gen.certify_core(op.matrix, op.spectrum)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(5):\n"
+        "    g1gen.certify_core(op.matrix, op.spectrum)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {"PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True, timeout=120)
+    assert int(child.stdout) < 5 * 1000
 
 
 def test_generated_operators_certify_without_getrf(getrf_calls):

@@ -185,6 +185,30 @@ def test_resolvent_norms_match_pointwise_solves_bitwise(getrf_calls):
                 linalg.spectral_norm(m) for m in expected]
 
 
+def test_a_workspace_changes_no_bit(getrf_calls):
+    # one NaN-filled workspace, longer than any stack, serves every call in
+    # turn, as in the certify sweep: points the pivot bound clears, points
+    # getrf factors again from workspace[0], and stacks that spectral_norm
+    # rescales by powers of two
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 9, 16):
+        a = random_complex(rng, n)
+        far = 3.0 * rng.standard_normal(12) + 3.0j * rng.standard_normal(12)
+        near = np.linalg.eigvals(a) + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=n))
+        workspace = np.full((2, 40, n, n), np.nan, dtype=complex)
+        for points in (far, near, np.concatenate((far, near))):
+            getrf_calls.clear()
+            expected = linalg.resolvents(a, points)
+            count = len(getrf_calls)
+            stack = linalg.resolvents(a, points, workspace)
+            assert len(getrf_calls) == 2 * count
+            assert stack.tobytes() == expected.tobytes()
+            for scaled in (stack, stack * np.ldexp(1.0, rng.choice([-600, 0, 520], len(stack)))[
+                    :, None, None]):
+                assert (linalg.spectral_norm(scaled, workspace).tobytes()
+                        == linalg.spectral_norm(scaled).tobytes())
+
+
 def test_a_singular_stack_raises_at_its_first_near_singular_point(getrf_calls):
     # 0.25 + 2 ulp leaves a pivot of 1.1e-16, below the guard but not zero;
     # 0.5 makes zI - A exactly singular, so np.linalg.inv rejects the stack
