@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from . import serialize, wradius
+from . import g1gen, serialize, wradius
 from .errors import (
     CertificationFailed,
     ConfigError,
@@ -21,6 +21,7 @@ from .errors import (
 )
 from .runner import (
     ALL_SUITES,
+    REPORT_FORMATS,
     TrialConfig,
     load_operator,
     render_report,
@@ -152,14 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run inequality suites on seeded random instances")
     verify.add_argument("--suites", default="all",
                         help="comma-separated suite names, or 'all'")
-    verify.add_argument("--dims", default="2,3,4,6,8", help="comma-separated dimensions")
-    verify.add_argument("--trials", type=int, default=200, help="trials per (suite, dim)")
-    verify.add_argument("--seed", type=int, default=42, help="master seed")
-    verify.add_argument("--rho-max", type=float, default=0.8, dest="rho_max",
+    verify.add_argument("--dims", default=",".join(map(str, TrialConfig.dims)),
+                        help="comma-separated dimensions")
+    verify.add_argument("--trials", type=int, default=TrialConfig.trials_per_suite,
+                        help="trials per (suite, dim)")
+    verify.add_argument("--seed", type=int, default=TrialConfig.master_seed, help="master seed")
+    verify.add_argument("--rho-max", type=float, default=TrialConfig.rho_max, dest="rho_max",
                         help="spectral radius bound for generated operators")
-    verify.add_argument("--atoms", type=int, default=8,
+    verify.add_argument("--atoms", type=int, default=TrialConfig.atoms,
                         help="atoms per generated boundary measure")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.add_argument("--format", choices=REPORT_FORMATS, default=TrialConfig.report_format)
     verify.add_argument("--out", default=None, help="report path (default: stdout)")
     verify.add_argument("--replay", default=None, metavar="SUITE:DIM:TRIAL",
                         help="re-run one trial and print its report")
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     certify = sub.add_parser("certify", help="check an operator file against the growth condition")
     certify.add_argument("--input", required=True, help="operator JSON file")
-    certify.add_argument("--samples", type=int, default=64,
+    certify.add_argument("--samples", type=int, default=g1gen.CIRCLE_SAMPLES,
                          help="points per sampling circle")
     certify.set_defaults(func=_cmd_certify)
 

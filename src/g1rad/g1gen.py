@@ -11,14 +11,10 @@ each chunk builds its own points, so its memory stays bounded whatever n
 and the sample count. A sweep allocates one workspace of two chunk-sized
 stacks, which holds zI - A (linalg.resolvents), then conj(R), |R| and the
 Gram stack of the inverses R (linalg.spectral_norm), so only R is allocated
-per chunk and the workspace stays mapped for the whole sweep. Stacks
+per chunk and the workspace stays mapped for the whole sweep: stacks
 allocated per chunk were trimmed by glibc after each chunk and faulted back
-by the next: 7,840 minor faults per n = 16 sweep, against 26-230 with the
-workspace. Both the inverse and the eigensolve run in numpy gufuncs outside
-the GIL, so files certify in parallel on threads: on 2 vCPUs the
-benchmark's certify-files workload reads ops_per_s 36.2/s on two threads
-and ops_per_s_1w 26.6/s on one (medians of 30 runs), against 33.1/s and
-23.2/s with per-chunk stacks.
+by the next. Both the inverse and the eigensolve run in numpy gufuncs
+outside the GIL, so files certify in parallel on threads.
 """
 
 from __future__ import annotations
@@ -38,6 +34,8 @@ NORMALITY_TOL = 1e-10
 CERT_THRESHOLD = 1e-6
 TESTPOINT_GUARD = 1e-6
 RING_RADII = (0.05, 0.1, 0.2)
+# Angles per sampling circle of the certify sweep.
+CIRCLE_SAMPLES = 64
 # Bytes of stacked n x n matrices per chunk of the certify sweep. The
 # sweep holds three such stacks at once: its workspace and the inverses.
 _SWEEP_BYTES = 256 << 10
@@ -189,7 +187,7 @@ def _test_points(lam: np.ndarray, circle_samples: int, start: int, stop: int) ->
     return np.concatenate(parts)
 
 
-def certify_core(matrix, spectrum, circle_samples: int = 64) -> float:
+def certify_core(matrix, spectrum, circle_samples: int = CIRCLE_SAMPLES) -> float:
     """Worst deviation |resolvent norm * dist - 1| over the sampling set.
 
     Test points are circles of radii RING_RADII around each eigenvalue plus

@@ -8,9 +8,11 @@ without rerunning the batch.
 from __future__ import annotations
 
 import hashlib
+import numbers
+import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,6 +75,18 @@ SUITES = {
     "rem27": Suite("check_rem27", _COMMUTATORS, _operators(2, "ginibre")),
 }
 ALL_SUITES = tuple(SUITES)
+REPORT_FORMATS = ("json", "csv")
+# The report row's names of the InequalityReport fields, in order. attrgetter reads
+# them without the dict that vars() would build and keep on every report.
+REPORT_KEYS = ("name", "lhs", "rhs", "ratio", "pass", "seed", "dim")
+_report_values = operator.attrgetter(*(f.name for f in fields(InequalityReport)))
+
+
+def _integer(value, what: str) -> int:
+    """An integer field as an int; a bool, float or string is a ConfigError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,14 @@ class TrialConfig:
     report_format: str = "json"
 
     def __post_init__(self):
+        # the written config must be the one the trials used: they hash str(master_seed)
+        for name in ("master_seed", "trials_per_suite", "atoms"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "dims", tuple(_integer(d, "dims") for d in self.dims))
+        object.__setattr__(self, "suites", tuple(self.suites))
+        if isinstance(self.rho_max, bool) or not isinstance(self.rho_max, numbers.Real):
+            raise ConfigError(f"rho_max must be a number, got {self.rho_max!r}")
+        object.__setattr__(self, "rho_max", float(self.rho_max))
         self.validate()
 
     def validate(self) -> None:
@@ -96,27 +118,23 @@ class TrialConfig:
         unknown = [s for s in self.suites if s not in ALL_SUITES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
-        if not self.dims or any(int(d) < 1 for d in self.dims):
+        if not self.dims or any(d < 1 for d in self.dims):
             raise ConfigError("dims must be a non-empty list of positive integers")
+        # a repeat would rerun its trials with the same seeds and count them twice
+        for what, values in (("suites", self.suites), ("dims", self.dims)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{what} must not repeat, got {', '.join(map(str, values))}")
         if self.trials_per_suite < 1:
             raise ConfigError("trials_per_suite must be at least 1")
         if not 0.0 < self.rho_max < 1.0:
             raise ConfigError("rho_max must lie in (0, 1)")
         if self.atoms < 1:
             raise ConfigError("atoms must be at least 1")
-        if self.report_format not in ("json", "csv"):
-            raise ConfigError("report_format must be 'json' or 'csv'")
+        if self.report_format not in REPORT_FORMATS:
+            raise ConfigError(f"report_format must be one of {', '.join(REPORT_FORMATS)}")
 
     def to_json(self) -> dict:
-        return {
-            "master_seed": int(self.master_seed),
-            "dims": [int(d) for d in self.dims],
-            "trials_per_suite": int(self.trials_per_suite),
-            "rho_max": float(self.rho_max),
-            "atoms": int(self.atoms),
-            "suites": list(self.suites),
-            "report_format": self.report_format,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -134,14 +152,7 @@ class SuiteReport:
     def to_json(self) -> dict:
         # trial_time (the suite's summed per-trial time) is console-only:
         # emitted reports must be byte-identical across runs.
-        return {
-            "suite": self.suite,
-            "total": self.total,
-            "passed": self.passed,
-            "max_ratio": self.max_ratio,
-            "argmax_seed": self.argmax_seed,
-            "argmax_dim": self.argmax_dim,
-        }
+        return {k: v for k, v in vars(self).items() if k != "trial_time"}
 
 
 @dataclass
@@ -201,7 +212,7 @@ def run_suite(config: TrialConfig) -> RunResult:
         for dim in config.dims:
             for trial in range(config.trials_per_suite):
                 start = time.perf_counter()
-                reports.append(run_trial(config, suite, int(dim), trial))
+                reports.append(run_trial(config, suite, dim, trial))
                 elapsed += time.perf_counter() - start
         # an infinite ratio (rhs == 0 < lhs) is the worst case, not skipped
         argmax = max(reports, key=lambda r: r.ratio)
@@ -219,15 +230,13 @@ def run_suite(config: TrialConfig) -> RunResult:
 
 
 def report_to_json(report: InequalityReport) -> dict:
-    return {
-        "name": report.name,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "pass": report.passed,
-        "seed": report.seed,
-        "dim": report.dim,
-    }
+    return dict(zip(REPORT_KEYS, _report_values(report)))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return serialize.fmt_float(value) if isinstance(value, float) else str(value)
 
 
 def render_report(suites, details, fmt: str, config: TrialConfig) -> str:
@@ -240,53 +249,22 @@ def render_report(suites, details, fmt: str, config: TrialConfig) -> str:
         }
         return serialize.dumps(payload) + "\n"
     if fmt == "csv":
-        lines = ["name,lhs,rhs,ratio,pass,seed,dim"]
-        for r in details:
-            lines.append(",".join([
-                r.name,
-                serialize.fmt_float(r.lhs),
-                serialize.fmt_float(r.rhs),
-                serialize.fmt_float(r.ratio),
-                "true" if r.passed else "false",
-                str(r.seed),
-                str(r.dim),
-            ]))
+        lines = [",".join(REPORT_KEYS)]
+        lines.extend(",".join(map(_csv_cell, _report_values(r))) for r in details)
         return "\n".join(lines) + "\n"
-    raise ConfigError(f"report format must be 'json' or 'csv', got {fmt!r}")
+    raise ConfigError(f"report format must be one of {', '.join(REPORT_FORMATS)}, got {fmt!r}")
 
 
-def load_operator(path, circle_samples: int = 64) -> G1Operator:
+def load_operator(path, circle_samples: int = g1gen.CIRCLE_SAMPLES) -> G1Operator:
     """Load an operator file and gate it on the growth-condition certificate.
 
-    Accepts either the full operator bundle (matrix, spectrum, unitary, d)
-    or a bare matrix object with an explicit "spectrum" field; non-normal
-    candidates without a spectrum cannot be admitted. An inconsistent file,
-    such as one whose spectrum lacks an eigenvalue per row or whose "d" is
-    more than D_TOL from the operator's own, raises ParseError, after the
+    serialize.operator_from_json reads the file. An inconsistent file, such
+    as one whose spectrum lacks an eigenvalue per row or whose "d" is more
+    than D_TOL from the operator's own, raises ParseError after the
     certificate is checked. A certificate-only candidate that is not normal
     raises CertificationFailed (see G1Operator).
     """
-    obj = serialize.read_json(path)
-    if not isinstance(obj, dict):
-        raise ParseError("operator file must contain a JSON object")
-
-    if "matrix" in obj:
-        matrix = serialize.matrix_from_json(serialize._require(obj, "matrix", dict))
-        spectrum = serialize.spectrum_from_json(serialize._require(obj, "spectrum", list))
-        unitary = None
-        if obj.get("unitary") is not None:
-            unitary = serialize.matrix_from_json(obj["unitary"])
-        d = serialize._require(obj, "d", float)
-    elif "re" in obj or "im" in obj or "n" in obj:
-        matrix = serialize.matrix_from_json(obj)
-        if "spectrum" not in obj:
-            raise ParseError("bare matrix input requires an explicit spectrum field")
-        spectrum = serialize.spectrum_from_json(obj["spectrum"])
-        unitary = None
-        d = None
-    else:
-        raise ParseError("unrecognized operator file layout")
-
+    matrix, spectrum, unitary, d = serialize.operator_from_json(serialize.read_json(path))
     try:
         certificate = g1gen.certify_core(matrix, spectrum, circle_samples)
         op = G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary,

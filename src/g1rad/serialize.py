@@ -151,3 +151,22 @@ def g1operator_to_json(op) -> dict:
         "d": float(op.d),
     }
     return obj
+
+
+def operator_from_json(obj) -> tuple:
+    """(matrix, spectrum, unitary, d) of a bundle, as g1operator_to_json writes
+    it and read in that order, or of a bare matrix object with a "spectrum"
+    field, which has no unitary and no d. Whether they agree is not checked."""
+    if not isinstance(obj, dict):
+        raise ParseError("operator file must contain a JSON object")
+    if "matrix" in obj:
+        matrix = matrix_from_json(_require(obj, "matrix", dict))
+        spectrum = spectrum_from_json(_require(obj, "spectrum", list))
+        unitary = None if obj.get("unitary") is None else matrix_from_json(obj["unitary"])
+        return matrix, spectrum, unitary, _require(obj, "d", float)
+    if "re" in obj or "im" in obj or "n" in obj:
+        matrix = matrix_from_json(obj)
+        if "spectrum" not in obj:
+            raise ParseError("bare matrix input requires an explicit spectrum field")
+        return matrix, spectrum_from_json(obj["spectrum"]), None, None
+    raise ParseError("unrecognized operator file layout")

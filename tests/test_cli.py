@@ -86,6 +86,14 @@ def test_verify_rejects_an_empty_list(capsys, flag, value):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--suites", "thm22,thm22"), ("--dims", "2,3,2")])
+def test_verify_rejects_a_repeated_entry(capsys, flag, value):
+    # a repeat would rerun the same seeded trials and count each twice
+    code, out, err = run_cli(capsys, "verify", flag, value, "--trials", "1")
+    assert code == 2
+    assert out == "" and "must not repeat" in err
+
+
 def test_verify_rejects_bad_rho(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suites", "lemma21a",
                          "--dims", "2", "--trials", "1", "--rho-max", "1.5")

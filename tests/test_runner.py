@@ -1,5 +1,6 @@
 """Tests for the batch driver, report rendering, and operator loading."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -100,6 +101,40 @@ def test_config_is_validated_on_construction():
         runner.TrialConfig(suites=())
 
 
+# Trial seeds hash str(master_seed), so 7.0 would draw other trials than the 7
+# a report writes; 2.5 would run and report dim 2.
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", 7.0), ("dims", (2.5,)), ("dims", ("3",)), ("dims", (True,)),
+    ("trials_per_suite", "2"), ("atoms", False), ("rho_max", "0.5"), ("rho_max", True),
+])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ConfigError, match=field):
+        runner.TrialConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("suites", ("thm22", "cor23", "thm22")),
+                                          ("dims", (2, 3, 2))])
+def test_config_rejects_repeated_suites_and_dims(field, value):
+    # a repeat would rerun the same seeded trials and count each twice
+    with pytest.raises(ConfigError, match="must not repeat"):
+        runner.TrialConfig(**{field: value})
+
+
+def test_config_normalizes_its_fields():
+    cfg = runner.TrialConfig(master_seed=np.int64(7), dims=[np.int64(2)],
+                             trials_per_suite=np.int32(1), rho_max=np.float64(0.8),
+                             atoms=np.uint8(8), suites=["thm22"])
+    values = (cfg.master_seed, *cfg.dims, cfg.trials_per_suite, cfg.atoms)
+    assert all(type(v) is int for v in values) and type(cfg.rho_max) is float
+    assert cfg == TINY and hash(cfg) == hash(TINY)
+
+
+def test_config_rebuilds_from_its_report():
+    result = runner.run_suite(TINY)
+    text = runner.render_report(result.suites, result.details, "json", TINY)
+    assert runner.TrialConfig(**json.loads(text)["config"]) == TINY
+
+
 def test_json_round_trip():
     result = runner.run_suite(TINY)
     doc = json.loads(runner.render_report(result.suites, result.details, "json", TINY))
@@ -134,6 +169,15 @@ def test_csv_shape_and_round_trip():
     assert float(ratio) == report.ratio
     assert (passed == "true") == report.passed
     assert int(seed) == report.seed and int(dim) == report.dim
+
+
+def test_report_keys_name_every_report_field():
+    assert len(runner.REPORT_KEYS) == len(dataclasses.fields(ineq.InequalityReport))
+    result = runner.run_suite(TINY)
+    doc = json.loads(runner.render_report(result.suites, result.details, "json", TINY))
+    assert tuple(doc["details"][0]) == runner.REPORT_KEYS
+    text = runner.render_report(result.suites, result.details, "csv", TINY)
+    assert tuple(text.split("\n")[0].split(",")) == runner.REPORT_KEYS
 
 
 def test_suite_report_hides_trial_time():
@@ -223,22 +267,38 @@ def test_every_variant_reaches_its_checker():
         assert names == {f"{suite}:{v}" if v else suite for v in row.variants}
 
 
-def test_worst_case_names_an_infinite_ratio(monkeypatch):
-    cfg = runner.TrialConfig(master_seed=5, dims=(2, 3), trials_per_suite=3,
-                             suites=("lemma21a",))
-    bad_seed = runner.trial_seed(5, "lemma21a", 3, 1)
+INFINITE_CFG = runner.TrialConfig(master_seed=5, dims=(2, 3), trials_per_suite=3,
+                                  suites=("lemma21a",))
+INFINITE_SEED = runner.trial_seed(5, "lemma21a", 3, 1)
+
+
+def run_with_an_infinite_ratio(monkeypatch):
+    """INFINITE_CFG's run, with the trial of INFINITE_SEED doctored to rhs == 0 < lhs."""
     honest = ineq.check_lemma21_a
 
     def check(a, x, seed=0):
-        if seed == bad_seed:  # rhs == 0 < lhs
+        if seed == INFINITE_SEED:
             return ineq._report("lemma21a", 1.0, 0.0, seed, a.shape[0])
         return honest(a, x, seed=seed)
 
     monkeypatch.setattr(ineq, "check_lemma21_a", check)
-    suite = runner.run_suite(cfg).suites[0]
+    return runner.run_suite(INFINITE_CFG)
+
+
+def test_worst_case_names_an_infinite_ratio(monkeypatch):
+    suite = run_with_an_infinite_ratio(monkeypatch).suites[0]
     assert suite.passed == suite.total - 1
     assert math.isinf(suite.max_ratio)
-    assert (suite.argmax_seed, suite.argmax_dim) == (bad_seed, 3)
+    assert (suite.argmax_seed, suite.argmax_dim) == (INFINITE_SEED, 3)
+
+
+def test_an_infinite_ratio_renders_as_infinity_in_json_and_inf_in_csv(monkeypatch):
+    result = run_with_an_infinite_ratio(monkeypatch)
+    text = runner.render_report(result.suites, result.details, "json", INFINITE_CFG)
+    assert f'"ratio": Infinity, "pass": false, "seed": {INFINITE_SEED}, "dim": 3}}' in text
+    assert '"max_ratio": Infinity' in text
+    rows = runner.render_report(result.suites, result.details, "csv", INFINITE_CFG).split("\n")
+    assert f"lemma21a,1,0,inf,false,{INFINITE_SEED},3" in rows
 
 
 def test_worker_count_follows_affinity(monkeypatch):
@@ -340,6 +400,25 @@ def test_matrix_json_round_trip():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     doc = json.loads(json.dumps(serialize.matrix_to_json(a)))
     np.testing.assert_array_equal(serialize.matrix_from_json(doc), a)
+
+
+def test_operator_from_json_reports_the_first_bad_field():
+    op = g1gen.random_g1(seed=2, n=2, rho_max=0.8)
+    good = serialize.g1operator_to_json(op)
+    obj = {"matrix": {"n": 0}, "spectrum": [], "unitary": {"n": True}, "d": "0.5"}
+    messages = ("matrix dimension must be positive", "spectrum must be a non-empty list",
+                "field 'n' has wrong type", "field 'd' has wrong type")
+    for key, message in zip(list(obj), messages):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            serialize.operator_from_json(obj)
+        obj[key] = good[key]
+    matrix, spectrum, unitary, d = serialize.operator_from_json(obj)
+    np.testing.assert_array_equal(matrix, op.matrix)
+    np.testing.assert_array_equal(spectrum, op.spectrum)
+    np.testing.assert_array_equal(unitary, op.unitary)
+    assert d == op.d
+    bare = dict(serialize.matrix_to_json(op.matrix), spectrum=good["spectrum"])
+    assert serialize.operator_from_json(bare)[2:] == (None, None)
 
 
 def test_number_fields_reject_json_booleans():
