@@ -3,23 +3,31 @@
 An operator is G1 when ||(z - A)^{-1}|| = 1 / dist(z, sigma(A)) away from
 its spectrum. Normal matrices satisfy this exactly, so the generated
 population is normal by construction: Haar unitary conjugations of spectra
-drawn uniformly inside a disk of radius rho_max < 1. Externally supplied
-candidates are admitted only through the numerical certificate and, when
-they carry no unitary, a normality check. The certificate sweeps the test
-points in chunks of at most _SWEEP_BYTES of stacked n x n matrices, and
-each chunk builds its own points, so its memory stays bounded whatever n
-and the sample count. A sweep allocates one workspace of two chunk-sized
-stacks, which holds zI - A (linalg.resolvents), then conj(R), |R| and the
-Gram stack of the inverses R (linalg.spectral_norm), so only R is allocated
-per chunk and the workspace stays mapped for the whole sweep: stacks
-allocated per chunk were trimmed by glibc after each chunk and faulted back
-by the next. Both the inverse and the eigensolve run in numpy gufuncs
-outside the GIL, so files certify in parallel on threads.
+drawn uniformly inside a disk of radius rho_max < 1. They are built a stack
+at a time (random_g1_stack): each operator draws its spectrum and its
+Ginibre matrix from its own generator, then one QR, one reconstruction U
+diag(lambda) U* and one run of _validate cover the stack, and every
+operator keeps the bits it has alone (random_g1 is a stack of one).
+_validate holds G1Operator's checks, over a stack; G1Operator runs it on a
+stack of one, so generated and loaded operators pass the same code.
+Externally supplied candidates are admitted only through the numerical
+certificate and, when they carry no unitary, a normality check. The
+certificate sweeps the test points in chunks of at most _SWEEP_BYTES of
+stacked n x n matrices, and each chunk builds its own points, so its memory
+stays bounded whatever n and the sample count. A sweep allocates one
+workspace of two chunk-sized stacks, which holds zI - A
+(linalg.resolvents), then conj(R), |R| and the Gram stack of the inverses R
+(linalg.spectral_norm), so only R is allocated per chunk and the workspace
+stays mapped for the whole sweep: stacks allocated per chunk were trimmed
+by glibc after each chunk and faulted back by the next. Both the inverse
+and the eigensolve run in numpy gufuncs outside the GIL, so files certify
+in parallel on threads.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,17 +49,6 @@ CIRCLE_SAMPLES = 64
 _SWEEP_BYTES = 256 << 10
 
 
-def _fro(m: np.ndarray) -> float:
-    """Frobenius norm, as sqrt(Re <m, m>)."""
-    return math.sqrt(np.vdot(m, m).real)
-
-
-def _is_normal(m: np.ndarray) -> bool:
-    """||A*A - AA*||_F <= NORMALITY_TOL ||A||_F^2; a NaN fails."""
-    adj = linalg.adjoint(m)
-    return _fro(adj @ m - m @ adj) <= NORMALITY_TOL * _fro(m) ** 2
-
-
 def boundary_distance(spectrum) -> float:
     """min_i (1 - |lambda_i|), the distance from the unit circle to the spectrum.
 
@@ -61,13 +58,80 @@ def boundary_distance(spectrum) -> float:
     lam = np.asarray(spectrum, dtype=np.complex128).ravel()
     if lam.size == 0:
         raise ValueError("spectrum must be non-empty")
-    largest = float(np.abs(lam).max())
-    if not math.isfinite(largest):
-        raise ValueError("eigenvalues must be finite")
-    smallest = 1.0 - largest
-    if smallest <= BOUNDARY_GUARD:
-        raise SpectrumOnBoundary(f"eigenvalue within {BOUNDARY_GUARD} of the unit circle")
-    return smallest
+    d, checks = _spectrum_checks(lam[None])
+    _raise_first_failure(checks)
+    return float(d[0])
+
+
+def _spectrum_checks(spectra: np.ndarray) -> tuple:
+    """(d, checks) of a (k, n) stack of spectra: d = 1 - max|lambda| per row,
+    and the checks that every eigenvalue is finite and off the guard band."""
+    largest = np.abs(spectra).max(axis=-1)
+    d = 1.0 - largest
+    return d, [
+        (np.isfinite(largest), ValueError, "eigenvalues must be finite"),
+        (d > BOUNDARY_GUARD, SpectrumOnBoundary,
+         f"eigenvalue within {BOUNDARY_GUARD} of the unit circle"),
+    ]
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise the first failed check of the first member of a stack that fails one.
+
+    checks are (passed, exception type, message) triples, passed a boolean per
+    member, in the order a single member is checked.
+    """
+    passed = functools.reduce(operator.and_, [ok for ok, _, _ in checks])
+    if not passed.all():
+        first = int(np.argmin(passed))
+        raise next(kind(message) for ok, kind, message in checks if not ok[first])
+
+
+def _validate(matrices: np.ndarray, spectra: np.ndarray,
+              unitaries: np.ndarray | None) -> np.ndarray:
+    """G1Operator's checks on a stack; returns each member's d.
+
+    matrices and unitaries are (k, n, n) stacks and spectra (k, n); unitaries
+    is None for operators without a diagonalizer. Every member is checked:
+    finite entries, the spectrum (as boundary_distance checks it), then with a
+    unitary, unitarity, A = U diag(lambda) U* and normality (ValueError), or
+    without one normality alone (CertificationFailed). The residuals
+    A*A - AA*, U*U - I and U diag(lambda) U* - A go to one stack, whose
+    Frobenius norms are taken in one call; ||A||_F^2 is the trace of A*A.
+    Each test is "value <= tolerance", so a NaN fails it. The first member
+    that fails a check raises the first check it fails, with the message that
+    G1Operator gives for it alone.
+    """
+    k, n = spectra.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        d, spectrum_checks = _spectrum_checks(spectra)
+        adj = linalg.adjoint(matrices)
+        gram = adj @ matrices
+        residuals = np.empty((1 if unitaries is None else 3, k, n, n), dtype=np.complex128)
+        np.subtract(gram, matrices @ adj, out=residuals[0])
+        if unitaries is not None:
+            u_adj = linalg.adjoint(unitaries)
+            np.matmul(u_adj, unitaries, out=residuals[1])
+            residuals[1].reshape(k, -1)[:, ::n + 1] -= 1.0
+            np.subtract((unitaries * spectra[:, None, :]) @ u_adj, matrices, out=residuals[2])
+        norms = linalg._fro_norms(residuals.reshape(-1, n, n)).reshape(-1, k)
+        normal = norms[0] <= NORMALITY_TOL * gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    checks = [(np.isfinite(matrices).all(axis=(-2, -1)), ValueError,
+               "matrix entries must be finite"), *spectrum_checks]
+    if unitaries is None:
+        checks.append((normal, CertificationFailed, "matrix is not normal within tolerance"))
+    else:
+        checks += [
+            (np.isfinite(unitaries).all(axis=(-2, -1)), ValueError,
+             "matrix entries must be finite"),
+            (norms[1] <= linalg.UNITARY_TOL, ValueError,
+             "diagonalizer is not unitary within tolerance"),
+            (norms[2] <= RECONSTRUCTION_TOL, ValueError,
+             "matrix does not match U diag(spectrum) U*"),
+            (normal, ValueError, "matrix is not normal within tolerance"),
+        ]
+    _raise_first_failure(checks)
+    return d
 
 
 @dataclass(frozen=True)
@@ -79,14 +143,15 @@ class G1Operator:
     file-loaded candidates may omit the unitary, in which case a
     growth-condition certificate is required. A certificate, when given,
     must be <= CERT_THRESHOLD whether or not a unitary is present; it is
-    checked first, so a failing certificate is reported as such even when
-    the rest of the bundle is inconsistent too. A finite-dimensional G1
-    matrix is normal, so every operator must pass the NORMALITY_TOL check:
-    with a unitary its failure is a ValueError, like the bundle's other
-    inconsistencies; without one it is a CertificationFailed, raised after
-    the certificate check, since the sampled certificate can miss a small
-    departure from normality. Every check is written as
-    "not (value <= tolerance)", so a NaN value fails it.
+    checked first, so a failing certificate (or a missing one, without a
+    unitary) is reported as such even when the rest of the bundle is
+    inconsistent too. A finite-dimensional G1 matrix is normal, so every
+    operator must pass the NORMALITY_TOL check: with a unitary its failure is
+    a ValueError, like the bundle's other inconsistencies; without one it is
+    a CertificationFailed, since the sampled certificate can miss a small
+    departure from normality. The checks are _validate's on a stack of one,
+    the same code that checks random_g1_stack's stacks; every one fails on a
+    NaN.
     """
 
     matrix: np.ndarray
@@ -100,30 +165,18 @@ class G1Operator:
             raise CertificationFailed(
                 f"growth-condition certificate {self.certificate:.6e} exceeds {CERT_THRESHOLD}"
             )
+        if self.unitary is None and self.certificate is None:
+            raise CertificationFailed("operators without a diagonalizer need a growth certificate")
         matrix = linalg.as_matrix(self.matrix)
         lam = np.asarray(self.spectrum, dtype=np.complex128).ravel()
         n = matrix.shape[0]
         if lam.size != n:
             raise ValueError(f"{lam.size} eigenvalues for a {n}x{n} matrix")
-        object.__setattr__(self, "d", boundary_distance(lam))
-        if self.unitary is not None:
-            u = linalg.as_matrix(self.unitary)
-            u_adj = linalg.adjoint(u)
-            gram = u_adj @ u
-            gram.reshape(-1)[::n + 1] -= 1.0  # U*U - I, in place on the diagonal
-            if not (_fro(gram) <= linalg.UNITARY_TOL):
-                raise ValueError("diagonalizer is not unitary within tolerance")
-            if not (_fro((u * lam) @ u_adj - matrix) <= RECONSTRUCTION_TOL):
-                raise ValueError("matrix does not match U diag(spectrum) U*")
-            if not _is_normal(matrix):
-                raise ValueError("matrix is not normal within tolerance")
-            object.__setattr__(self, "unitary", u)
-        elif self.certificate is None:
-            raise CertificationFailed("operators without a diagonalizer need a growth certificate")
-        elif not _is_normal(matrix):
-            raise CertificationFailed("matrix is not normal within tolerance")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "spectrum", lam)
+        u = None if self.unitary is None else np.asarray(self.unitary, dtype=np.complex128)
+        if u is not None and u.shape != matrix.shape:
+            raise ValueError(f"a diagonalizer of shape {u.shape} for a {n}x{n} matrix")
+        (d,) = _validate(matrix[None], lam[None], None if u is None else u[None]).tolist()
+        vars(self).update(matrix=matrix, spectrum=lam, unitary=u, d=d)
 
     @property
     def dim(self) -> int:
@@ -131,17 +184,28 @@ class G1Operator:
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phase-fixed R diagonal.
+    """Haar-distributed n x n unitary: a stack of one, from _haar_unitaries."""
+    return _haar_unitaries([rng], n)[0]
 
-    np.linalg.qr runs LAPACK geqrf and ungqr from numpy's own LAPACK, so
-    sampling loads no second one (the tests hold it to the bits of scipy's
-    geqrf/ungqr).
+
+def _haar_unitaries(rngs, n: int) -> np.ndarray:
+    """One Haar-distributed n x n unitary per generator, as a (k, n, n) stack.
+
+    Each generator draws one Ginibre matrix Z (real parts, then imaginary
+    parts, of standard complex Gaussian entries). One np.linalg.qr call
+    factors the stack, and each Q has its columns' phases fixed by diag(R)
+    (F. Mezzadri, Notices AMS 54, 2007). np.linalg.qr runs LAPACK geqrf and
+    ungqr from numpy's own LAPACK on each matrix, so sampling loads no second
+    one; the tests hold each unitary to the bits of scipy's geqrf/ungqr on
+    its own Z.
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = r.diagonal()
+    normals = np.empty((len(rngs), 2, n, n))
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0))
+    diag = r.diagonal(axis1=-2, axis2=-1)
     size = np.abs(diag)
-    return q * np.where(size > 0.0, diag / size, 1.0)
+    return q * np.where(size > 0.0, diag / size, 1.0)[:, None, :]
 
 
 def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -154,17 +218,44 @@ def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     return out[:k]
 
 
-def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
-    """Seed-deterministic normal operator with spectrum in the disk of radius rho_max."""
+def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
+    """One seed-deterministic normal operator per seed, with spectrum in the
+    disk of radius rho_max, built and checked as one stack.
+
+    Each operator draws from its own np.random.default_rng(seed): its
+    spectrum, then its Ginibre matrix (_haar_unitaries). The QR, the phase fix,
+    the products U diag(lambda) U* and _validate's checks then run once over
+    the stack. Each operator gets the bits that a stack of its seed alone
+    gives it (random_g1), which the tests check over stack sizes and n; it
+    holds views of the stack's arrays.
+    """
     if not 0.0 < rho_max < 1.0:
         raise ConfigError(f"rho_max must lie in (0, 1), got {rho_max}")
     if n < 1:
         raise ConfigError("dimension must be positive")
-    rng = np.random.default_rng(seed)
-    spectrum = rho_max * _uniform_disk(rng, n)
-    unitary = haar_unitary(rng, n)
-    matrix = (unitary * spectrum) @ linalg.adjoint(unitary)
-    return G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary)
+    if not len(seeds):
+        return []
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    spectra = rho_max * np.array([_uniform_disk(rng, n) for rng in rngs])
+    unitaries = _haar_unitaries(rngs, n)
+    scaled = np.empty_like(unitaries)
+    for u, lam, out in zip(unitaries, spectra, scaled):
+        # one product per operator: at n = 1, numpy multiplies a whole
+        # stack in another loop, which rounds differently
+        np.multiply(u, lam, out=out)
+    matrices = scaled @ linalg.adjoint(unitaries)
+    d = _validate(matrices, spectra, unitaries).tolist()
+    ops = []
+    for fields in zip(matrices, spectra, unitaries, d):
+        op = object.__new__(G1Operator)  # checked above, by _validate
+        vars(op).update(zip(("matrix", "spectrum", "unitary", "d"), fields), certificate=None)
+        ops.append(op)
+    return ops
+
+
+def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
+    """Seed-deterministic normal operator with spectrum in the disk of radius rho_max."""
+    return random_g1_stack((seed,), n, rho_max)[0]
 
 
 def _test_points(lam: np.ndarray, circle_samples: int, start: int, stop: int) -> np.ndarray:

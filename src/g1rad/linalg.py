@@ -45,8 +45,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(a).T
+    """Conjugate transpose, of one matrix or of each matrix in a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Every trial derives its RNG stream from a SHA-256 hash of
 (master_seed, suite, dim, trial), so any single report can be replayed
-without rerunning the batch.
+without rerunning the batch. run_suite samples each (suite, dim) cell in
+chunks of consecutive trials (_run_cell) whose G1 operators, at most
+_CELL_BYTES of them, g1gen builds and checks as one stack. An operator has
+the same bits in any chunk, so run_trial alone replays any trial exactly.
 """
 
 from __future__ import annotations
@@ -13,14 +16,19 @@ import operator
 import os
 import time
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import funcalc, g1gen, ineq, linalg, serialize
-from .errors import ConfigError, ParseError
+from .errors import CertificationFailed, ConfigError, ParseError, Singular
 from .g1gen import G1Operator
 from .ineq import InequalityReport
+
+# Bytes of matrices and unitaries that one chunk of a cell's G1 operators
+# holds, unless its first trial alone holds more.
+_CELL_BYTES = 64 << 10
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -33,24 +41,29 @@ def _sub_seed(rng: np.random.Generator) -> int:
 
 def _matrices(count: int) -> Callable:
     """Sampler of `count` Ginibre matrices."""
-    return lambda rng, dim, config: tuple(_ginibre(rng, dim) for _ in range(count))
+    return lambda rng, dim, config: (tuple(_ginibre(rng, dim) for _ in range(count)), (), ())
 
 
 def _operators(count: int, x: str = "") -> Callable:
-    """Sampler of f, then `count` G1 operators, then X when `x` is "ginibre"
-    or "hermitian" (the Hermitian part of a Ginibre matrix)."""
+    """Sampler of f, then the sub-seeds of `count` G1 operators, then X when
+    `x` is "ginibre" or "hermitian" (the Hermitian part of a Ginibre matrix)."""
     def sample(rng, dim, config) -> tuple:
         f = funcalc.random_herglotz(_sub_seed(rng), config.atoms)
-        ops = tuple(g1gen.random_g1(_sub_seed(rng), dim, config.rho_max) for _ in range(count))
+        seeds = tuple(_sub_seed(rng) for _ in range(count))
         if not x:
-            return (f, *ops)
+            return (f,), seeds, ()
         m = _ginibre(rng, dim)
-        return (f, *ops, linalg.herm_part(m) if x == "hermitian" else m)
+        return (f,), seeds, (linalg.herm_part(m) if x == "hermitian" else m,)
     return sample
 
 
 class Suite(NamedTuple):
-    """A catalog statement: its ``ineq`` checker's name, variants and input sampler."""
+    """A catalog statement: its ``ineq`` checker's name, variants and input sampler.
+
+    ``sample(rng, dim, config)`` draws a trial's (head, seeds, tail): the
+    checker's inputs are head, then the G1 operators of the sub-seeds, then
+    tail.
+    """
 
     checker: str
     variants: tuple
@@ -66,7 +79,7 @@ SUITES = {
     "lemma21d": Suite("check_lemma21_d", ("",), _matrices(4)),
     "lemma21e": Suite("check_lemma21_e", ("",), _matrices(2)),
     "lemma21f": Suite("check_lemma21_f", ("",), lambda rng, dim, config: (
-        _ginibre(rng, dim), float(rng.uniform(0.0, 2.0 * np.pi)))),
+        (_ginibre(rng, dim), float(rng.uniform(0.0, 2.0 * np.pi))), (), ())),
     "thm22": Suite("check_thm22", ("sum", "diff"), _operators(1, "ginibre")),
     "cor23": Suite("check_cor23", ("re", "im"), _operators(1)),
     "thm24": Suite("check_thm24", _COMMUTATORS, _operators(2, "ginibre")),
@@ -150,7 +163,7 @@ class SuiteReport:
     trial_time: float
 
     def to_json(self) -> dict:
-        # trial_time (the suite's summed per-trial time) is console-only:
+        # trial_time (the suite's summed time over its cells) is console-only:
         # emitted reports must be byte-identical across runs.
         return {k: v for k, v in vars(self).items() if k != "trial_time"}
 
@@ -162,26 +175,71 @@ class RunResult:
 
 
 def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
-    """Stable 64-bit stream seed for one (suite, dim, trial) cell."""
+    """Stable 64-bit stream seed for one (suite, dim, trial)."""
     tag = f"{master_seed}:{suite}:{dim}:{trial}".encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-def run_trial(config: TrialConfig, suite: str, dim: int, trial: int) -> InequalityReport:
-    """Draw the trial's inputs from its derived seed and run the checker.
+def _draw(config: TrialConfig, suite: str, dim: int, trial: int) -> tuple:
+    """The trial's (head, seeds, tail), drawn from its derived seed."""
+    rng = np.random.default_rng(trial_seed(config.master_seed, suite, dim, trial))
+    return SUITES[suite].sample(rng, dim, config)
+
+
+def _inputs(draws: list, dim: int, rho_max: float) -> list:
+    """Each draw's checker inputs, with the G1 operators of all the draws
+    built as one stack."""
+    ops = iter(g1gen.random_g1_stack([s for _, seeds, _ in draws for s in seeds], dim, rho_max))
+    return [head + tuple(islice(ops, len(seeds))) + tail for head, seeds, tail in draws]
+
+
+def run_trial(config: TrialConfig, suite: str, dim: int, trial: int, *,
+              inputs: tuple | None = None) -> InequalityReport:
+    """Run the checker on the trial's inputs, drawn from its derived seed.
 
     Multi-variant suites rotate their variants with the trial index ("" is
     no variant argument). The checker is looked up on ``ineq`` at call time.
+    run_suite passes the inputs that it drew for the trial with its chunk;
+    without them the trial is drawn as a cell of one, to the same bits.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     row = SUITES[suite]
-    seed = trial_seed(config.master_seed, suite, dim, trial)
-    inputs = row.sample(np.random.default_rng(seed), dim, config)
+    if inputs is None:
+        (inputs,) = _inputs([_draw(config, suite, dim, trial)], dim, config.rho_max)
     variant = row.variants[trial % len(row.variants)]
     if variant:
         inputs += (variant,)
+    seed = trial_seed(config.master_seed, suite, dim, trial)
     return getattr(ineq, row.checker)(*inputs, seed=seed)
+
+
+def _run_chunk(config: TrialConfig, suite: str, dim: int, draws: dict) -> list:
+    """The reports of a chunk's trials ({trial: draw}), in order."""
+    inputs = _inputs(list(draws.values()), dim, config.rho_max)
+    return [run_trial(config, suite, dim, trial, inputs=args)
+            for trial, args in zip(draws, inputs)]
+
+
+def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
+    """The reports of every trial of a (suite, dim) cell, run chunk by chunk.
+
+    Each trial draws its inputs from its own stream, its G1 operators as
+    sub-seeds; one g1gen.random_g1_stack call builds and checks a chunk's
+    operators, and run_trial runs each trial's checker. A chunk ends where
+    one more trial's operators would take it past _CELL_BYTES (every trial
+    of a suite draws as many as the last one), and at every trial that draws
+    none, since it has nothing to stack. Only one chunk's inputs are held.
+    """
+    reports, draws, held = [], {}, 0
+    for trial in range(config.trials_per_suite):
+        draws[trial] = _draw(config, suite, dim, trial)
+        size = len(draws[trial][1]) * 2 * 16 * dim * dim  # a matrix and a unitary per operator
+        held += size
+        if not size or held + size > _CELL_BYTES:
+            reports += _run_chunk(config, suite, dim, draws)
+            draws, held = {}, 0
+    return reports + (_run_chunk(config, suite, dim, draws) if draws else [])
 
 
 def worker_count() -> int:
@@ -205,15 +263,14 @@ def worker_count() -> int:
 
 
 def run_suite(config: TrialConfig) -> RunResult:
-    """Run every (suite, dim, trial) cell in order and aggregate one report per suite."""
+    """Run every (suite, dim) cell in order and aggregate one report per suite."""
     suites, details = [], []
     for suite in config.suites:
         reports, elapsed = [], 0.0
         for dim in config.dims:
-            for trial in range(config.trials_per_suite):
-                start = time.perf_counter()
-                reports.append(run_trial(config, suite, dim, trial))
-                elapsed += time.perf_counter() - start
+            start = time.perf_counter()
+            reports += _run_cell(config, suite, dim)
+            elapsed += time.perf_counter() - start
         # an infinite ratio (rhs == 0 < lhs) is the worst case, not skipped
         argmax = max(reports, key=lambda r: r.ratio)
         suites.append(SuiteReport(
@@ -262,7 +319,10 @@ def load_operator(path, circle_samples: int = g1gen.CIRCLE_SAMPLES) -> G1Operato
     as one whose spectrum lacks an eigenvalue per row or whose "d" is more
     than D_TOL from the operator's own, raises ParseError after the
     certificate is checked. A certificate-only candidate that is not normal
-    raises CertificationFailed (see G1Operator).
+    raises CertificationFailed (see G1Operator). So does a sweep that meets a
+    singular resolvent: its test points keep TESTPOINT_GUARD away from the
+    filed spectrum, so the matrix has an eigenvalue there that the filed
+    spectrum lacks (or is far from normal).
     """
     matrix, spectrum, unitary, d = serialize.operator_from_json(serialize.read_json(path))
     try:
@@ -271,6 +331,11 @@ def load_operator(path, circle_samples: int = g1gen.CIRCLE_SAMPLES) -> G1Operato
                         certificate=certificate)
     except ValueError as exc:
         raise ParseError(f"inconsistent operator file: {exc}") from exc
+    except Singular as exc:
+        raise CertificationFailed(
+            f"the resolvent is singular at a test point away from the filed spectrum ({exc}): "
+            "the matrix has an eigenvalue that the spectrum lacks, or is far from normal"
+        ) from exc
     if d is not None and not (abs(d - op.d) <= g1gen.D_TOL):
         raise ParseError("inconsistent operator file: d does not match min(1 - |lambda|)")
     return op

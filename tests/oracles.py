@@ -147,6 +147,18 @@ def haar_unitary_qr(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phases
 
 
+def random_g1_one(seed: int, n: int, rho_max: float) -> tuple:
+    """(matrix, spectrum, unitary, d) of g1gen.random_g1 by the one-operator
+    route: the spectrum, then haar_unitary_qr's unitary from the same
+    stream, and (U * lambda) @ U* on that one matrix. random_g1_stack must
+    give every operator these bits at any stack size."""
+    rng = np.random.default_rng(seed)
+    spectrum = rho_max * g1gen._uniform_disk(rng, n)
+    unitary = haar_unitary_qr(rng, n)
+    matrix = (unitary * spectrum) @ unitary.conj().T
+    return matrix, spectrum, unitary, 1.0 - float(np.abs(spectrum).max())
+
+
 def _resolvent_norm(a, z) -> float:
     eye = np.eye(a.shape[0], dtype=np.complex128)
     return linalg.spectral_norm(solve(complex(z) * eye - a, eye))

@@ -154,6 +154,20 @@ def test_certify_rejects_a_non_normal_bare_matrix(tmp_path, capsys):
     assert err == "certification failed: matrix is not normal within tolerance\n"
 
 
+def test_certify_rejects_a_bare_matrix_whose_spectrum_lacks_an_eigenvalue(tmp_path, capsys):
+    # the 0.05-ring around the filed 0.45 passes through the true eigenvalue
+    # 0.5, where the sweep meets a singular resolvent
+    obj = serialize.matrix_to_json(np.diag([0.5, 0.2]).astype(complex))
+    obj["spectrum"] = [[0.45, 0.0], [0.1, 0.0]]
+    path = tmp_path / "wrong-spectrum.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("certification failed: the resolvent is singular at a test point away "
+                   "from the filed spectrum (pivot 0.000e+00 below threshold): the matrix has "
+                   "an eigenvalue that the spectrum lacks, or is far from normal\n")
+
+
 def test_certify_reports_a_failed_certificate_before_a_wrong_d(tmp_path, capsys):
     # the certificate is checked first, so the wrong d never surfaces as a parse error
     jordan = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)

@@ -14,7 +14,8 @@ import pytest
 
 import oracles
 from g1rad import g1gen, linalg
-from g1rad.errors import CertificationFailed, ConfigError, Singular, SpectrumOnBoundary
+from g1rad.errors import (CertificationFailed, ConfigError, G1RadError, Singular,
+                          SpectrumOnBoundary)
 
 JORDAN = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
 
@@ -130,9 +131,45 @@ def test_haar_unitarity():
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_haar_unitary_matches_numpy_qr_bit_for_bit(n):
+    expected = [oracles.haar_unitary_qr(np.random.default_rng(seed), n) for seed in range(10)]
     for seed in range(10):
-        expected = oracles.haar_unitary_qr(np.random.default_rng(seed), n)
-        assert g1gen.haar_unitary(np.random.default_rng(seed), n).tobytes() == expected.tobytes()
+        u = g1gen.haar_unitary(np.random.default_rng(seed), n)
+        assert u.tobytes() == expected[seed].tobytes()
+    # one QR of the stack of all ten gives each unitary the same bits
+    stack = g1gen._haar_unitaries([np.random.default_rng(seed) for seed in range(10)], n)
+    assert [u.tobytes() for u in stack] == [u.tobytes() for u in expected]
+
+
+def _bytes(op):
+    return [np.ascontiguousarray(part).tobytes()
+            for part in (op.matrix, op.spectrum, op.unitary, np.float64(op.d))]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_random_g1_matches_the_one_operator_oracle(n):
+    # n = 1 is the size where numpy rounds U * lambda differently for a stack
+    for seed in (0, 7, 123456789):
+        expected = oracles.random_g1_one(seed, n, 0.8)
+        op = g1gen.random_g1(seed, n, 0.8)
+        assert _bytes(op) == [np.float64(x).tobytes() if np.isscalar(x) else x.tobytes()
+                              for x in expected]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("size", [1, 2, 7, 100])
+def test_random_g1_stack_has_the_bits_of_one_call_per_seed(n, size):
+    seeds = [1000 * n + 37 * i for i in range(size)]
+    ops = g1gen.random_g1_stack(seeds, n, 0.7)
+    assert len(ops) == size
+    for seed, op in zip(seeds, ops):
+        assert _bytes(op) == _bytes(g1gen.random_g1(seed, n, 0.7))
+        assert op.certificate is None and op.dim == n
+
+
+def test_random_g1_stack_of_no_seeds_is_empty():
+    assert g1gen.random_g1_stack([], 3, 0.8) == []
+    with pytest.raises(ConfigError):
+        g1gen.random_g1_stack([], 3, 1.0)
 
 
 def test_resolvent_norm_scalar():
@@ -435,3 +472,71 @@ def test_certify_memory_stays_within_budget(monkeypatch):
     # a (points x n) distance table over all 1160 test points alone would
     # take 6 budgets
     assert peak <= 5 * budget
+
+
+def _tilted(a=2e-3):
+    """[[a, e], [0, -a]] with U = I: within e of U diag(a, -a) U*, and
+    ||A*A - AA*||_F / ||A||_F^2 is twice NORMALITY_TOL."""
+    e = 2.0 * g1gen.NORMALITY_TOL * a / np.sqrt(2.0)
+    return np.array([[a, e], [0.0, -a]], dtype=complex), np.array([a, -a]), np.eye(2)
+
+
+def _nan_at(array, index):
+    out = np.array(array, dtype=complex)
+    out[index] = np.nan
+    return out
+
+
+# Faults of one member of a stack: (name, (matrix, spectrum, unitary) -> faulty triple)
+STACK_FAULTS = [
+    ("unitary 1e-9 off", lambda m, s, u: (m, s, (1.0 + 1e-9) * u)),
+    ("not U diag(s) U*", lambda m, s, u: (m + 1e-9 * np.eye(2), s, u)),
+    ("not normal", lambda m, s, u: _tilted()),
+    ("NaN in the matrix", lambda m, s, u: (_nan_at(m, (0, 1)), s, u)),
+    ("NaN in the spectrum", lambda m, s, u: (m, _nan_at(s, 1), u)),
+    ("NaN in the unitary", lambda m, s, u: (m, s, _nan_at(u, (1, 0)))),
+    ("eigenvalue on the circle", lambda m, s, u: (m, np.array([1.0, s[1]]), u)),
+]
+
+
+def _single_error(matrix, spectrum, unitary):
+    with pytest.raises((G1RadError, ValueError)) as exc:
+        g1gen.G1Operator(matrix=matrix, spectrum=spectrum, unitary=unitary)
+    return type(exc.value), str(exc.value)
+
+
+def _stack(members):
+    return tuple(np.array(part) for part in zip(*members))
+
+
+@pytest.mark.parametrize("name, fault", STACK_FAULTS, ids=[f[0] for f in STACK_FAULTS])
+@pytest.mark.parametrize("slot", [0, 3, 6])
+def test_a_stack_raises_its_faulty_members_own_error(name, fault, slot):
+    ops = g1gen.random_g1_stack(range(500, 507), 2, 0.8)
+    members = [(op.matrix, op.spectrum, op.unitary) for op in ops]
+    members[slot] = fault(*members[slot])
+    kind, message = _single_error(*members[slot])
+    with pytest.raises(kind) as exc:
+        g1gen._validate(*_stack(members))
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
+def test_a_stack_raises_the_first_faulty_members_error():
+    ops = g1gen.random_g1_stack(range(510, 517), 2, 0.8)
+    members = [(op.matrix, op.spectrum, op.unitary) for op in ops]
+    # member 2 fails a later check than member 5 does, but comes first
+    members[2] = _tilted()
+    members[5] = STACK_FAULTS[3][1](*members[5])
+    with pytest.raises(ValueError, match=r"^matrix is not normal within tolerance$"):
+        g1gen._validate(*_stack(members))
+    good = _stack([(op.matrix, op.spectrum, op.unitary) for op in ops])
+    assert g1gen._validate(*good).tolist() == [op.d for op in ops]
+
+
+@pytest.mark.parametrize("slot", [0, 2, 4])
+def test_a_stack_without_unitaries_fails_a_non_normal_member_as_uncertified(slot):
+    members = [(np.diag([0.5, -0.3]).astype(complex), np.array([0.5, -0.3]))] * 5
+    members[slot] = _tilted()[:2]
+    matrices, spectra = _stack(members)
+    with pytest.raises(CertificationFailed, match=r"^matrix is not normal within tolerance$"):
+        g1gen._validate(matrices, spectra, None)

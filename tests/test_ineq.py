@@ -473,8 +473,9 @@ def test_rem27_random_both_variants():
 @pytest.mark.parametrize("suite", [s for s, row in runner.SUITES.items()
                                    if len(row.variants) > 1])
 def test_unknown_variant_raises(suite):
-    row = runner.SUITES[suite]
-    inputs = row.sample(np.random.default_rng(0), 2, runner.TrialConfig())
+    row, config = runner.SUITES[suite], runner.TrialConfig()
+    (inputs,) = runner._inputs([row.sample(np.random.default_rng(0), 2, config)], 2,
+                               config.rho_max)
     with pytest.raises(ValueError, match="must be"):
         getattr(ineq, row.checker)(*inputs, "oops")
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,9 +48,9 @@ def test_trials_run_serially_on_the_calling_thread(monkeypatch):
     threads = []
     trial = runner.run_trial
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         threads.append(threading.get_ident())
-        return trial(*args)
+        return trial(*args, **kwargs)
 
     monkeypatch.setattr(runner, "run_trial", recording)
     monkeypatch.setenv("WRAD_THREADS", "3")
@@ -73,6 +74,56 @@ def test_replay_reproduces_batch_trial():
         for trial in range(3):
             replayed = runner.run_trial(cfg, "thm24", dim, trial)
             assert replayed in result.details
+
+
+# rem25 at n = 16: a trial's two operators hold 16 KiB of matrices and
+# unitaries, so 40 trials run in 10 chunks of 4 at the default budget
+CHUNKED = runner.TrialConfig(master_seed=19, dims=(16,), trials_per_suite=40,
+                             suites=("rem25",), report_format="csv")
+
+
+def test_a_cell_spans_chunks_and_replays_trial_by_trial(monkeypatch):
+    stacks = []
+    build = g1gen.random_g1_stack
+
+    def counting(seeds, n, rho_max):
+        stacks.append(len(seeds))
+        return build(seeds, n, rho_max)
+
+    monkeypatch.setattr(g1gen, "random_g1_stack", counting)
+    result = runner.run_suite(CHUNKED)
+    assert stacks == [8] * 10
+    assert result.details == [runner.run_trial(CHUNKED, "rem25", 16, t) for t in range(40)]
+
+
+def test_the_chunk_budget_does_not_change_the_report(monkeypatch):
+    def report():
+        result = runner.run_suite(CHUNKED)
+        return runner.render_report(result.suites, result.details, "csv", CHUNKED)
+
+    expected = report()
+    for budget in (1, 100 << 10, 1 << 40):  # a trial a chunk, chunks of 6, one chunk
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_CELL_BYTES", budget)
+            assert report() == expected
+
+
+def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
+    # rem25 at n = 64: a trial's two operators hold 256 KiB of matrices and
+    # unitaries, more than the budget, so the cell runs a trial a chunk. With
+    # the temporaries of building and checking them it peaks at about 9 such
+    # chunks; the cell's 400 operators built as one stack took 300 MB.
+    monkeypatch.setattr(ineq, "check_rem25",
+                        lambda *args, seed: ineq._report("rem25", 0.0, 1.0, seed, 64))
+    config = runner.TrialConfig(master_seed=1, dims=(64,), trials_per_suite=200,
+                                suites=("rem25",))
+    tracemalloc.start()
+    try:
+        runner.run_suite(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * max(runner._CELL_BYTES, 2 * 2 * 16 * 64 * 64)
 
 
 def test_trial_seed_is_stable():
@@ -367,6 +418,16 @@ def test_load_checks_a_bundle_d_against_the_operator(tmp_path):
             runner.load_operator(path)
     path.write_text(serialize.dumps(dict(obj, d=op.d + 0.5 * g1gen.D_TOL)))
     assert runner.load_operator(path).d == op.d
+
+
+def test_load_rejects_a_diagonalizer_of_another_size(tmp_path):
+    obj = serialize.g1operator_to_json(g1gen.random_g1(seed=12, n=2, rho_max=0.8))
+    obj["unitary"] = serialize.matrix_to_json(np.eye(3, dtype=complex))
+    path = tmp_path / "op.json"
+    write_json(path, obj)
+    message = re.escape("inconsistent operator file: a diagonalizer of shape (3, 3) for a 2x2 matrix")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        runner.load_operator(path)
 
 
 def test_load_requires_spectrum(tmp_path):
