@@ -66,6 +66,15 @@ def _write_report(path: str, text: str, mode: str = "w") -> None:
         raise IoError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _emit(path: str | None, text: str) -> None:
+    """Write a report to stdout, or to path when one is given."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        _write_report(path, text)
+        print(f"report written to {path}", file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
     config = TrialConfig(
         master_seed=args.seed,
@@ -81,7 +90,10 @@ def _cmd_verify(args) -> int:
         if suite not in config.suites:
             raise ConfigError(f"replay suite {suite!r} not in the selected suites")
         report = run_trial(config, suite, dim, trial)
-        sys.stdout.write(serialize.dumps(report_to_json(report)) + "\n")
+        if config.report_format == "csv":  # the header and the row a batch writes for it
+            _emit(args.out, render_report([], [report], "csv", config))
+        else:
+            _emit(args.out, serialize.dumps(report_to_json(report)) + "\n")
         return 0 if report.passed else 1
 
     if args.out is not None:
@@ -98,12 +110,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
     print(f"total: wall {wall:.2f}s, cpu {cpu:.2f}s", file=sys.stderr)
-    text = render_report(result.suites, result.details, config.report_format, config)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_report(args.out, text)
-        print(f"report written to {args.out}", file=sys.stderr)
+    _emit(args.out, render_report(result.suites, result.details, config.report_format, config))
     all_passed = all(s.passed == s.total for s in result.suites)
     print("RESULT: " + ("PASS" if all_passed else "FAIL"), file=sys.stderr)
     return 0 if all_passed else 1
@@ -119,7 +126,7 @@ def _cmd_certify(args) -> int:
         "certificate": float(op.certificate),
         "d": float(op.d),
         "n": op.dim,
-        "normal": op.unitary is not None,
+        "unitary": op.unitary is not None,
     }
     sys.stdout.write(serialize.dumps(payload) + "\n")
     return 0
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=REPORT_FORMATS, default=TrialConfig.report_format)
     verify.add_argument("--out", default=None, help="report path (default: stdout)")
     verify.add_argument("--replay", default=None, metavar="SUITE:DIM:TRIAL",
-                        help="re-run one trial and print its report")
+                        help="re-run one trial and write its report")
     verify.set_defaults(func=_cmd_verify)
 
     certify = sub.add_parser("certify", help="check an operator file against the growth condition")

@@ -74,8 +74,11 @@ def apply_normal(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
     """f(A) = U diag(f(lambda)) U* for an operator that carries its diagonalizer U.
 
     G1Operator has already checked that U is unitary, that A = U diag(lambda) U*
-    and that the spectrum lies inside the unit disk.
+    and that the spectrum lies inside the unit disk. An operator without U
+    raises ValueError; riesz_dunford takes any operator.
     """
+    if op.unitary is None:
+        raise ValueError("apply_normal needs the operator's diagonalizer; use riesz_dunford")
     return (op.unitary * _kernel_sum(f, op.spectrum)) @ linalg.adjoint(op.unitary)
 
 

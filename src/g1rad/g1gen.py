@@ -49,32 +49,6 @@ CIRCLE_SAMPLES = 64
 _SWEEP_BYTES = 256 << 10
 
 
-def boundary_distance(spectrum) -> float:
-    """min_i (1 - |lambda_i|), the distance from the unit circle to the spectrum.
-
-    Computed as 1 - max_i |lambda_i|, which is the same double: rounding
-    1 - x is monotone in x. A NaN or infinite eigenvalue raises ValueError.
-    """
-    lam = np.asarray(spectrum, dtype=np.complex128).ravel()
-    if lam.size == 0:
-        raise ValueError("spectrum must be non-empty")
-    d, checks = _spectrum_checks(lam[None])
-    _raise_first_failure(checks)
-    return float(d[0])
-
-
-def _spectrum_checks(spectra: np.ndarray) -> tuple:
-    """(d, checks) of a (k, n) stack of spectra: d = 1 - max|lambda| per row,
-    and the checks that every eigenvalue is finite and off the guard band."""
-    largest = np.abs(spectra).max(axis=-1)
-    d = 1.0 - largest
-    return d, [
-        (np.isfinite(largest), ValueError, "eigenvalues must be finite"),
-        (d > BOUNDARY_GUARD, SpectrumOnBoundary,
-         f"eigenvalue within {BOUNDARY_GUARD} of the unit circle"),
-    ]
-
-
 def _raise_first_failure(checks) -> None:
     """Raise the first failed check of the first member of a stack that fails one.
 
@@ -92,9 +66,11 @@ def _validate(matrices: np.ndarray, spectra: np.ndarray,
     """G1Operator's checks on a stack; returns each member's d.
 
     matrices and unitaries are (k, n, n) stacks and spectra (k, n); unitaries
-    is None for operators without a diagonalizer. Every member is checked:
-    finite entries, the spectrum (as boundary_distance checks it), then with a
-    unitary, unitarity, A = U diag(lambda) U* and normality (ValueError), or
+    is None for operators without a diagonalizer. d = 1 - max|lambda| is
+    min(1 - |lambda|) as the same double, since rounding 1 - x is monotone in
+    x. Every member is checked: finite entries, finite eigenvalues
+    (ValueError) off the BOUNDARY_GUARD band (SpectrumOnBoundary), then with
+    a unitary, unitarity, A = U diag(lambda) U* and normality (ValueError), or
     without one normality alone (CertificationFailed). The residuals
     A*A - AA*, U*U - I and U diag(lambda) U* - A go to one stack, whose
     Frobenius norms are taken in one call; ||A||_F^2 is the trace of A*A.
@@ -104,7 +80,8 @@ def _validate(matrices: np.ndarray, spectra: np.ndarray,
     """
     k, n = spectra.shape
     with np.errstate(invalid="ignore", over="ignore"):
-        d, spectrum_checks = _spectrum_checks(spectra)
+        largest = np.abs(spectra).max(axis=-1)
+        d = 1.0 - largest
         adj = linalg.adjoint(matrices)
         gram = adj @ matrices
         residuals = np.empty((1 if unitaries is None else 3, k, n, n), dtype=np.complex128)
@@ -117,7 +94,10 @@ def _validate(matrices: np.ndarray, spectra: np.ndarray,
         norms = linalg._fro_norms(residuals.reshape(-1, n, n)).reshape(-1, k)
         normal = norms[0] <= NORMALITY_TOL * gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
     checks = [(np.isfinite(matrices).all(axis=(-2, -1)), ValueError,
-               "matrix entries must be finite"), *spectrum_checks]
+               "matrix entries must be finite"),
+              (np.isfinite(largest), ValueError, "eigenvalues must be finite"),
+              (d > BOUNDARY_GUARD, SpectrumOnBoundary,
+               f"eigenvalue within {BOUNDARY_GUARD} of the unit circle")]
     if unitaries is None:
         checks.append((normal, CertificationFailed, "matrix is not normal within tolerance"))
     else:
@@ -138,7 +118,7 @@ def _validate(matrices: np.ndarray, spectra: np.ndarray,
 class G1Operator:
     """A matrix with known spectrum inside the unit disk and boundary distance d.
 
-    d is derived, as boundary_distance(spectrum). Generated operators carry
+    d is derived, as 1 - max|lambda| (_validate). Generated operators carry
     their diagonalizing unitary and are validated as exactly normal;
     file-loaded candidates may omit the unitary, in which case a
     growth-condition certificate is required. A certificate, when given,
@@ -181,11 +161,6 @@ class G1Operator:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed n x n unitary: a stack of one, from _haar_unitaries."""
-    return _haar_unitaries([rng], n)[0]
 
 
 def _haar_unitaries(rngs, n: int) -> np.ndarray:

@@ -6,6 +6,7 @@ Statements are named by their catalog ids (lemma21a..f, thm22, cor23,
 thm24, rem25, cor26, rem27); variants select the sign or expression form.
 Checkers take their operands as the sampler or G1Operator built them and
 re-check none of them; only rem25's own hypothesis, a self-adjoint X, is checked.
+f(A) is funcalc.apply_normal's, so every G1Operator must carry its diagonalizer.
 """
 
 from __future__ import annotations
@@ -75,15 +76,9 @@ def _sign(sign: str) -> float:
     return 1.0 if sign == "+" else -1.0
 
 
-def _f_of(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
-    if op.unitary is not None:
-        return funcalc.apply_normal(f, op)
-    return funcalc.riesz_dunford(f, op)
-
-
 def _commutator(f, opa, opb, x, variant) -> np.ndarray:
     """f(A) X fbar(B) - f(B) X fbar(A), or f(A) X fbar(B) + 2X + f(B) X fbar(A)."""
-    fa, fb = _f_of(f, opa), _f_of(f, opb)
+    fa, fb = funcalc.apply_normal(f, opa), funcalc.apply_normal(f, opb)
     if variant == "commutator":
         return fa @ x @ linalg.adjoint(fb) - fb @ x @ linalg.adjoint(fa)
     if variant == "anticommutator2X":
@@ -144,7 +139,7 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
     """w(f(A) X + X fbar(A)) <= (2/d^2) w(X - A X A*), and the difference form
     w(f(A) X - X fbar(A)) <= (4/d^2) ||A|| w(X)."""
     a = op.matrix
-    fa = _f_of(f, op)
+    fa = funcalc.apply_normal(f, op)
     fbar = linalg.adjoint(fa)
     if variant == "sum":
         lhs = _w(fa @ x + x @ fbar)
@@ -161,7 +156,7 @@ def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
     """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||."""
     a = op.matrix
-    fa = _f_of(f, op)
+    fa = funcalc.apply_normal(f, op)
     if variant == "re":
         lhs = _norm(linalg.herm_part(fa))
         rhs = (1.0 / op.d**2) * _norm(np.eye(op.dim) - a @ linalg.adjoint(a))
@@ -198,7 +193,7 @@ def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
 def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
     """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||)."""
-    product = _f_of(f, opa) @ linalg.adjoint(_f_of(f, opb))
+    product = funcalc.apply_normal(f, opa) @ linalg.adjoint(funcalc.apply_normal(f, opb))
     if variant == "im":
         lhs = _norm(linalg.skew_part(product))
     elif variant == "re_plus_I":

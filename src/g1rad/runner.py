@@ -16,7 +16,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -214,32 +214,28 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int, *,
     return getattr(ineq, row.checker)(*inputs, seed=seed)
 
 
-def _run_chunk(config: TrialConfig, suite: str, dim: int, draws: dict) -> list:
-    """The reports of a chunk's trials ({trial: draw}), in order."""
-    inputs = _inputs(list(draws.values()), dim, config.rho_max)
-    return [run_trial(config, suite, dim, trial, inputs=args)
-            for trial, args in zip(draws, inputs)]
-
-
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
     """The reports of every trial of a (suite, dim) cell, run chunk by chunk.
 
     Each trial draws its inputs from its own stream, its G1 operators as
     sub-seeds; one g1gen.random_g1_stack call builds and checks a chunk's
-    operators, and run_trial runs each trial's checker. A chunk ends where
-    one more trial's operators would take it past _CELL_BYTES (every trial
-    of a suite draws as many as the last one), and at every trial that draws
-    none, since it has nothing to stack. Only one chunk's inputs are held.
+    operators, and run_trial runs each trial's checker. A chunk is as many
+    consecutive trials as keep their operators' matrices and unitaries within
+    _CELL_BYTES, and at least one; every trial of a suite draws as many
+    operators as the first, and a suite that draws none runs one trial per
+    chunk. Only one chunk's inputs are held.
     """
-    reports, draws, held = [], {}, 0
-    for trial in range(config.trials_per_suite):
-        draws[trial] = _draw(config, suite, dim, trial)
-        size = len(draws[trial][1]) * 2 * 16 * dim * dim  # a matrix and a unitary per operator
-        held += size
-        if not size or held + size > _CELL_BYTES:
-            reports += _run_chunk(config, suite, dim, draws)
-            draws, held = {}, 0
-    return reports + (_run_chunk(config, suite, dim, draws) if draws else [])
+    trials = range(config.trials_per_suite)
+    draws = (_draw(config, suite, dim, trial) for trial in trials)
+    first = next(draws)
+    bytes_per_trial = 32 * dim * dim * len(first[1])  # a complex matrix and unitary each
+    size = max(1, _CELL_BYTES // bytes_per_trial) if bytes_per_trial else 1
+    draws, reports = chain((first,), draws), []
+    for start in range(0, len(trials), size):
+        # no name holds a chunk's inputs, so they go before the next chunk is drawn
+        reports += [run_trial(config, suite, dim, trial, inputs=args) for trial, args in
+                    zip(trials[start:], _inputs(list(islice(draws, size)), dim, config.rho_max))]
+    return reports
 
 
 def worker_count() -> int:

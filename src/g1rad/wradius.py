@@ -240,7 +240,9 @@ def numerical_radius(a, grid_points: int = 720) -> RadiusResult:
     Evaluated at one scale (module docstring), so TIE_TOL applies at unit
     scale; an off-diagonal block [[0, X], [Y, 0]] is gridded on half-size
     Gram matrices (module docstring). Raises OverflowError when w(A)
-    exceeds the largest double.
+    exceeds the largest double. Every command uses the default 720 angles;
+    grid_points exists for the tests' small grids, and for the benchmark's
+    wrapper, which passes it positionally, until the benchmark changes.
     """
     a = linalg.as_matrix(a)
     if grid_points < 8 or grid_points % 2:

@@ -131,7 +131,7 @@ def fbar_direct(f, a) -> np.ndarray:
 
 
 def haar_unitary_qr(rng: np.random.Generator, n: int) -> np.ndarray:
-    """g1gen.haar_unitary's QR through scipy's LAPACK geqrf and ungqr, from
+    """A Haar unitary of g1gen._haar_unitaries, by scipy's LAPACK geqrf and ungqr, from
     the same two draws: geqrf leaves R on and above the diagonal of its
     output, so diag(R) is read from there, and ungqr turns the reflectors
     below it into Q.

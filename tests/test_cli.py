@@ -114,6 +114,35 @@ def test_replay_matches_library_call(capsys):
     assert doc["rhs"] == expected.rhs
     assert doc["ratio"] == expected.ratio
     assert doc["seed"] == expected.seed
+    assert out == serialize.dumps(runner.report_to_json(expected)) + "\n"
+
+
+REPLAY = ("verify", "--suites", "thm22", "--dims", "4", "--trials", "8", "--replay", "thm22:4:7")
+
+
+def test_replay_csv_is_the_header_and_the_batch_row_of_its_trial(capsys):
+    code, batch, _ = run_cli(capsys, *REPLAY[:-2], "--format", "csv")
+    assert code == 0
+    lines = batch.splitlines(keepends=True)
+    code, out, _ = run_cli(capsys, *REPLAY, "--format", "csv")
+    assert code == 0
+    assert out == lines[0] + lines[1 + 7]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_replay_out_writes_what_stdout_gets(tmp_path, capsys, fmt):
+    _, expected, _ = run_cli(capsys, *REPLAY, "--format", fmt)
+    path = tmp_path / f"replay.{fmt}"
+    code, out, err = run_cli(capsys, *REPLAY, "--format", fmt, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == expected
+    assert f"report written to {path}" in err
+
+
+def test_replay_reports_an_unwritable_out_path(capsys, tmp_path):
+    code, out, err = run_cli(capsys, *REPLAY, "--out", str(tmp_path / "missing" / "r.csv"))
+    assert (code, out) == (2, "")
+    assert "cannot write report" in err
 
 
 def test_replay_bad_spec(capsys):
@@ -129,7 +158,7 @@ def test_certify_accepts_normal_operator(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["certificate"] <= 1e-8
-    assert doc["normal"] is True
+    assert doc["unitary"] is True
 
 
 def test_certify_rejects_jordan_block(tmp_path, capsys):
@@ -237,12 +266,12 @@ def test_certify_rejects_a_spectrum_entry_that_is_not_a_number(tmp_path, capsys,
 # g1rad certify stdout, to the byte, for the operator files that the bench's
 # certify-files workload writes at its default seed
 CERTIFY_GOLDEN = {
-    (4, "bundle"): '{"certificate": 3.9968028886505635e-15, "d": 0.25413343770538099, "n": 4, "normal": true}\n',
-    (4, "bare"): '{"certificate": 3.1086244689504383e-15, "d": 0.22594258201713113, "n": 4, "normal": false}\n',
-    (8, "bundle"): '{"certificate": 6.4392935428259079e-15, "d": 0.21414707976681713, "n": 8, "normal": true}\n',
-    (8, "bare"): '{"certificate": 1.0880185641326534e-14, "d": 0.23448345214557942, "n": 8, "normal": false}\n',
-    (16, "bundle"): '{"certificate": 6.1506355564233672e-14, "d": 0.20012046679630846, "n": 16, "normal": true}\n',
-    (16, "bare"): '{"certificate": 9.3258734068513149e-15, "d": 0.2750190124715497, "n": 16, "normal": false}\n',
+    (4, "bundle"): '{"certificate": 3.9968028886505635e-15, "d": 0.25413343770538099, "n": 4, "unitary": true}\n',
+    (4, "bare"): '{"certificate": 3.1086244689504383e-15, "d": 0.22594258201713113, "n": 4, "unitary": false}\n',
+    (8, "bundle"): '{"certificate": 6.4392935428259079e-15, "d": 0.21414707976681713, "n": 8, "unitary": true}\n',
+    (8, "bare"): '{"certificate": 1.0880185641326534e-14, "d": 0.23448345214557942, "n": 8, "unitary": false}\n',
+    (16, "bundle"): '{"certificate": 6.1506355564233672e-14, "d": 0.20012046679630846, "n": 16, "unitary": true}\n',
+    (16, "bare"): '{"certificate": 9.3258734068513149e-15, "d": 0.2750190124715497, "n": 16, "unitary": false}\n',
 }
 
 

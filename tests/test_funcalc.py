@@ -123,7 +123,7 @@ def test_cached_phases_are_the_atoms():
 
 def test_apply_normal_zero_spectrum_gives_identity():
     rng = np.random.default_rng(42)
-    u = g1gen.haar_unitary(rng, 4)
+    u = oracles.haar_unitary_qr(rng, 4)
     f = funcalc.random_herglotz(43, 8)
     op = g1gen.G1Operator(matrix=np.zeros((4, 4), dtype=complex),
                           spectrum=np.zeros(4, dtype=complex), unitary=u)
@@ -147,6 +147,12 @@ def test_riesz_dunford_zero_matrix():
     f = funcalc.random_herglotz(44, 8)
     fa = funcalc.riesz_dunford(f, certified(np.zeros((2, 2), dtype=complex), [0.0, 0.0]))
     assert np.linalg.norm(fa - np.eye(2)) <= 1e-10
+
+
+def test_apply_normal_rejects_an_operator_without_its_diagonalizer():
+    op = certified(np.diag([0.5, -0.3]).astype(complex), [0.5, -0.3])
+    with pytest.raises(ValueError, match="riesz_dunford"):
+        funcalc.apply_normal(ATOM_AT_ZERO, op)
 
 
 def test_riesz_dunford_scalar_case():

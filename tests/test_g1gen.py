@@ -1,4 +1,4 @@
-"""Tests for operator generation, boundary distance, and certification."""
+"""Tests for operator generation, the boundary distance d, and certification."""
 
 import hashlib
 import os
@@ -24,23 +24,36 @@ def resolvent_norm(a, z) -> float:
     return linalg.spectral_norm(linalg.resolvents(a, [z]))[0]
 
 
+def diagonal(lam) -> g1gen.G1Operator:
+    """diag(lam) with the identity as its unitary: its d is the spectrum's alone."""
+    lam = np.asarray(lam, dtype=complex)
+    return g1gen.G1Operator(matrix=np.diag(lam), spectrum=lam, unitary=np.eye(lam.size))
+
+
 def test_boundary_distance_origin():
-    assert g1gen.boundary_distance([0.0]) == pytest.approx(1.0)
+    assert diagonal([0.0]).d == pytest.approx(1.0)
 
 
 def test_boundary_distance_two_points():
-    assert g1gen.boundary_distance([0.5, -0.25j]) == pytest.approx(0.5)
+    assert diagonal([0.5, -0.25j]).d == pytest.approx(0.5)
 
 
 def test_boundary_distance_guard_band():
     with pytest.raises(SpectrumOnBoundary):
-        g1gen.boundary_distance([0.999999999999])
+        diagonal([0.999999999999])
+    with pytest.raises(SpectrumOnBoundary):
+        g1gen._validate(np.zeros((1, 1, 1), complex), np.array([[0.999999999999]]), None)
 
 
 def test_boundary_distance_rejects_non_finite_eigenvalues():
+    # a zero matrix keeps the entries finite, so the spectrum's check fails first
     for lam in ([np.nan], [0.5, np.nan], [complex(0.1, np.inf)]):
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
-            g1gen.boundary_distance(lam)
+            g1gen.G1Operator(matrix=np.zeros((len(lam), len(lam))), spectrum=lam,
+                             unitary=np.eye(len(lam)))
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            g1gen._validate(np.zeros((1, len(lam), len(lam)), complex),
+                            np.array([lam], dtype=complex), None)
 
 
 def test_boundary_distance_is_the_smallest_margin_bit_for_bit():
@@ -48,7 +61,7 @@ def test_boundary_distance_is_the_smallest_margin_bit_for_bit():
     rng = np.random.default_rng(52)
     for k in range(1, 40):
         lam = rng.uniform(0.0, 0.999, k) * np.exp(2j * np.pi * rng.uniform(size=k))
-        assert g1gen.boundary_distance(lam) == float((1.0 - np.abs(lam)).min())
+        assert diagonal(lam).d == float((1.0 - np.abs(lam)).min())
 
 
 def test_boundary_distance_matches_grid_search():
@@ -57,7 +70,7 @@ def test_boundary_distance_matches_grid_search():
     alphas = 2 * np.pi * np.arange(10_000) / 10_000
     ring = np.exp(1j * alphas)
     brute = np.abs(ring[:, None] - lam[None, :]).min()
-    assert g1gen.boundary_distance(lam) == pytest.approx(brute, abs=1e-6)
+    assert diagonal(lam).d == pytest.approx(brute, abs=1e-6)
 
 
 def test_random_g1_respects_rho_max():
@@ -89,7 +102,7 @@ def test_random_g1_deterministic():
 
 
 # SHA-256 over DRAW_SEEDS of random_g1(seed, n, 0.8): the bytes of matrix,
-# spectrum, unitary and d. Recorded with np.linalg.qr in haar_unitary, on
+# spectrum, unitary and d. Recorded with np.linalg.qr in _haar_unitaries, on
 # x86-64 with numpy 2.4.6 and its OpenBLAS 0.3.31; another BLAS build may
 # round the products differently.
 DRAW_SEEDS = (0, 42, 987654321)
@@ -125,7 +138,7 @@ def test_random_g1_rejects_bad_rho():
 def test_haar_unitarity():
     rng = np.random.default_rng(51)
     for n in (2, 4, 8, 16):
-        u = g1gen.haar_unitary(rng, n)
+        u = g1gen._haar_unitaries([rng], n)[0]
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
 
 
@@ -133,7 +146,7 @@ def test_haar_unitarity():
 def test_haar_unitary_matches_numpy_qr_bit_for_bit(n):
     expected = [oracles.haar_unitary_qr(np.random.default_rng(seed), n) for seed in range(10)]
     for seed in range(10):
-        u = g1gen.haar_unitary(np.random.default_rng(seed), n)
+        u = g1gen._haar_unitaries([np.random.default_rng(seed)], n)[0]
         assert u.tobytes() == expected[seed].tobytes()
     # one QR of the stack of all ten gives each unitary the same bits
     stack = g1gen._haar_unitaries([np.random.default_rng(seed) for seed in range(10)], n)
@@ -227,7 +240,7 @@ def _operator(op, **changes):
 def test_operator_derives_d_from_its_spectrum_bit_for_bit():
     for seed, n in ((12, 3), (14, 1), (18, 9)):
         op = g1gen.random_g1(seed=seed, n=n, rho_max=0.8)
-        assert op.d == g1gen.boundary_distance(op.spectrum)
+        assert op.d == float((1.0 - np.abs(op.spectrum)).min())
     with pytest.raises(TypeError):
         _operator(op, d=op.d)
 
@@ -347,7 +360,7 @@ def test_certify_core_matches_pointwise_oracle_on_hard_inputs(matrix, spectrum, 
 
 def test_certify_core_and_oracle_raise_the_same_singular():
     # the ring of radius 0.05 around the wrong eigenvalue 0.45 passes through 0.5
-    u = g1gen.haar_unitary(np.random.default_rng(14), 2)
+    u = oracles.haar_unitary_qr(np.random.default_rng(14), 2)
     a = (u * np.array([0.5, 0.25])) @ u.conj().T
     messages = []
     for certify in (g1gen.certify_core, oracles.certify_pointwise):

@@ -246,16 +246,22 @@ def test_thm22_random_both_variants():
             assert ineq.check_thm22(f, op, x, variant).passed
 
 
-def test_thm22_quadrature_route_for_loaded_operator():
-    # certificate-backed operator without a diagonalizer takes the contour path
-    a = np.diag([0.5, -0.3]).astype(complex)
-    spectrum = np.array([0.5, -0.3])
-    cert = g1gen.certify_core(a, spectrum)
-    op = g1gen.G1Operator(matrix=a, spectrum=spectrum, unitary=None, certificate=cert)
-    rng = np.random.default_rng(84)
-    f = funcalc.random_herglotz(85, 8)
-    report = ineq.check_thm22(f, op, random_complex(rng, 2), "sum")
-    assert report.passed
+def certificate_only(n):
+    """A loaded operator without a diagonalizer: diag(0.5, -0.3, ...) and its certificate."""
+    a = np.diag(np.resize([0.5, -0.3], n)).astype(complex)
+    spectrum = np.diag(a)
+    return g1gen.G1Operator(matrix=a, spectrum=spectrum, unitary=None,
+                            certificate=g1gen.certify_core(a, spectrum))
+
+
+@pytest.mark.parametrize("suite", ["thm22", "cor23", "thm24", "rem25", "cor26", "rem27"])
+def test_checkers_reject_an_operator_without_its_diagonalizer(suite):
+    # f(A) goes through apply_normal alone; the contour route is funcalc's, not theirs
+    row = runner.SUITES[suite]
+    head, seeds, tail = row.sample(np.random.default_rng(84), 2, runner.TrialConfig())
+    inputs = head + tuple(certificate_only(2) for _ in seeds) + tail + (row.variants[0],)
+    with pytest.raises(ValueError, match="riesz_dunford"):
+        getattr(ineq, row.checker)(*inputs)
 
 
 def test_thm22_bad_variant():

@@ -7,6 +7,7 @@ import math
 import re
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +97,29 @@ def test_a_cell_spans_chunks_and_replays_trial_by_trial(monkeypatch):
     assert result.details == [runner.run_trial(CHUNKED, "rem25", 16, t) for t in range(40)]
 
 
+@pytest.mark.parametrize("suite, dim, trials, chunks", [
+    ("cor23", 8, 70, [32, 32, 6]),  # 64 KiB over one operator's 2 KiB
+    ("thm24", 3, 70, [70]),  # 113 trials of two operators fit
+    ("rem25", 64, 3, [1, 1, 1]),  # one trial holds 256 KiB, past the budget
+    ("lemma21a", 2, 5, [1] * 5),  # no operators: a trial a chunk
+])
+def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim, trials,
+                                                          chunks):
+    sizes = []
+    inputs = runner._inputs
+
+    def recording(draws, n, rho_max):
+        sizes.append(len(draws))
+        return inputs(draws, n, rho_max)
+
+    monkeypatch.setattr(runner, "_inputs", recording)
+    monkeypatch.setattr(ineq, runner.SUITES[suite].checker, lambda *args, seed: seed)
+    cfg = runner.TrialConfig(dims=(dim,), trials_per_suite=trials, suites=(suite,))
+    seeds = runner._run_cell(cfg, suite, dim)
+    assert sizes == chunks
+    assert seeds == [runner.trial_seed(cfg.master_seed, suite, dim, t) for t in range(trials)]
+
+
 def test_the_chunk_budget_does_not_change_the_report(monkeypatch):
     def report():
         result = runner.run_suite(CHUNKED)
@@ -106,6 +130,20 @@ def test_the_chunk_budget_does_not_change_the_report(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(runner, "_CELL_BYTES", budget)
             assert report() == expected
+
+
+def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch):
+    refs = []
+    build = g1gen.random_g1_stack
+
+    def tracking(seeds, n, rho_max):
+        assert all(ref() is None for ref in refs), "the last chunk's operators are still held"
+        ops = build(seeds, n, rho_max)
+        refs[:] = map(weakref.ref, ops)
+        return ops
+
+    monkeypatch.setattr(g1gen, "random_g1_stack", tracking)
+    assert len(runner.run_suite(CHUNKED).details) == 40
 
 
 def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
