@@ -25,7 +25,7 @@ from .runner import (
     TrialConfig,
     load_operator,
     render_report,
-    report_to_json,
+    report_json,
     run_suite,
     run_trial,
 )
@@ -93,7 +93,7 @@ def _cmd_verify(args) -> int:
         if config.report_format == "csv":  # the header and the row a batch writes for it
             _emit(args.out, render_report([], [report], "csv", config))
         else:
-            _emit(args.out, serialize.dumps(report_to_json(report)) + "\n")
+            _emit(args.out, report_json(report) + "\n")
         return 0 if report.passed else 1
 
     if args.out is not None:

@@ -6,7 +6,8 @@ A function here is a discrete probability measure on the circle,
 
 which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Matrix arguments
 are handled by two independent routes, both on a checked G1Operator:
-unitary diagonalization of one that carries its diagonalizer, and
+unitary diagonalization of one that carries its diagonalizer, over a
+stack of (function, operator) pairs at a time (apply_normal_stack), and
 trapezoidal quadrature of the Cauchy resolvent integral, over one stack of
 resolvents from linalg.resolvents, for any of them. The
 conjugate function acts as fbar(A) = (f(A))*; the tests check this identity
@@ -54,11 +55,11 @@ class HerglotzFunction:
         object.__setattr__(self, "phases", np.exp(1j * angles))
 
 
-def _kernel_sum(f: HerglotzFunction, z):
-    """Weighted Herglotz kernel sum, broadcast over an array of points."""
+def _kernel_sum(weights: np.ndarray, phases: np.ndarray, z):
+    """Weighted Herglotz kernel sum of the atoms (weights, phases) along their
+    last axis, broadcast over an array of points."""
     z = np.asarray(z, dtype=np.complex128)[..., None]
-    e = f.phases
-    return np.sum(f.weights * (e + z) / (e - z), axis=-1)
+    return np.sum(weights * (phases + z) / (phases - z), axis=-1)
 
 
 def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
@@ -70,16 +71,29 @@ def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
     return HerglotzFunction(angles, weights)
 
 
-def apply_normal(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
-    """f(A) = U diag(f(lambda)) U* for an operator that carries its diagonalizer U.
+def apply_normal_stack(fs, ops) -> np.ndarray:
+    """f_i(A_i) = U_i diag(f_i(lambda_i)) U_i* for each pair of a function and
+    an operator that carries its diagonalizer U_i, as a (k, n, n) stack.
 
-    G1Operator has already checked that U is unitary, that A = U diag(lambda) U*
-    and that the spectrum lies inside the unit disk. An operator without U
-    raises ValueError; riesz_dunford takes any operator.
+    The operators share their n and the functions their number of atoms.
+    One array expression gives every kernel sum f_i(lambda_i), and one
+    linalg.diag_similarity call every product, so each member has the bits
+    of apply_normal on its pair alone. G1Operator has already checked that
+    U is unitary, that A = U diag(lambda) U* and that the spectrum lies
+    inside the unit disk. An operator without U raises ValueError;
+    riesz_dunford takes any operator.
     """
-    if op.unitary is None:
+    if any(op.unitary is None for op in ops):
         raise ValueError("apply_normal needs the operator's diagonalizer; use riesz_dunford")
-    return (op.unitary * _kernel_sum(f, op.spectrum)) @ linalg.adjoint(op.unitary)
+    weights = np.array([f.weights for f in fs])[:, None, :]
+    phases = np.array([f.phases for f in fs])[:, None, :]
+    values = _kernel_sum(weights, phases, np.array([op.spectrum for op in ops]))
+    return linalg.diag_similarity(np.array([op.unitary for op in ops]), values)
+
+
+def apply_normal(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
+    """f(A) = U diag(f(lambda)) U*: apply_normal_stack on one pair."""
+    return apply_normal_stack((f,), (op,))[0]
 
 
 def riesz_dunford(f: HerglotzFunction, op: G1Operator, nodes: int = 512) -> np.ndarray:
@@ -94,5 +108,6 @@ def riesz_dunford(f: HerglotzFunction, op: G1Operator, nodes: int = 512) -> np.n
         raise ValueError("nodes must be at least 32")
     radius = 0.5 * (float(np.max(np.abs(op.spectrum))) + 1.0)
     z = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    terms = (z * _kernel_sum(f, z))[:, None, None] * linalg.resolvents(op.matrix, z)
+    values = z * _kernel_sum(f.weights, f.phases, z)
+    terms = values[:, None, None] * linalg.resolvents(op.matrix, z)
     return terms.sum(axis=0) / nodes

@@ -187,9 +187,11 @@ def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     """k points uniform on the unit disk, by rejection from the bounding square."""
     out = np.empty(0, dtype=np.complex128)
     while out.size < k:
-        x, y = rng.uniform(-1.0, 1.0, size=(max(2 * (k - out.size), 8), 2)).T
+        pts = rng.uniform(-1.0, 1.0, size=(max(2 * (k - out.size), 8), 2))
+        x, y = pts.T
         keep = x ** 2 + y ** 2 <= 1.0
-        out = np.concatenate((out, x[keep] + 1j * y[keep]))
+        # each row (x, y) read as the complex x + iy: the same doubles, no arithmetic
+        out = np.concatenate((out, pts.view(np.complex128)[keep, 0]))
     return out[:k]
 
 
@@ -199,10 +201,10 @@ def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
 
     Each operator draws from its own np.random.default_rng(seed): its
     spectrum, then its Ginibre matrix (_haar_unitaries). The QR, the phase fix,
-    the products U diag(lambda) U* and _validate's checks then run once over
-    the stack. Each operator gets the bits that a stack of its seed alone
-    gives it (random_g1), which the tests check over stack sizes and n; it
-    holds views of the stack's arrays.
+    the products U diag(lambda) U* (linalg.diag_similarity) and _validate's
+    checks then run once over the stack. Each operator gets the bits that a
+    stack of its seed alone gives it (random_g1), which the tests check over
+    stack sizes and n; it holds views of the stack's arrays.
     """
     if not 0.0 < rho_max < 1.0:
         raise ConfigError(f"rho_max must lie in (0, 1), got {rho_max}")
@@ -213,12 +215,7 @@ def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     spectra = rho_max * np.array([_uniform_disk(rng, n) for rng in rngs])
     unitaries = _haar_unitaries(rngs, n)
-    scaled = np.empty_like(unitaries)
-    for u, lam, out in zip(unitaries, spectra, scaled):
-        # one product per operator: at n = 1, numpy multiplies a whole
-        # stack in another loop, which rounds differently
-        np.multiply(u, lam, out=out)
-    matrices = scaled @ linalg.adjoint(unitaries)
+    matrices = linalg.diag_similarity(unitaries, spectra)
     d = _validate(matrices, spectra, unitaries).tolist()
     ops = []
     for fields in zip(matrices, spectra, unitaries, d):

@@ -6,7 +6,14 @@ Statements are named by their catalog ids (lemma21a..f, thm22, cor23,
 thm24, rem25, cor26, rem27); variants select the sign or expression form.
 Checkers take their operands as the sampler or G1Operator built them and
 re-check none of them; only rem25's own hypothesis, a self-adjoint X, is checked.
-f(A) is funcalc.apply_normal's, so every G1Operator must carry its diagonalizer.
+f(A) is funcalc.apply_normal_stack's, so every G1Operator must carry its
+diagonalizer. The norm statements cor23, rem25 and cor26 are evaluated a
+chunk of trials of one n at a time (check_*_chunk): one apply_normal_stack
+call gives every f(A) and f(B), and each norm operand takes one
+spectral_norm call, over the trials of one variant, or over the chunk when
+it does not depend on the variant. Each right side is then formed in Python
+floats, in the order of operations of one trial, and the one-trial checkers
+are a chunk of one, so a trial has the same bits in any chunk.
 """
 
 from __future__ import annotations
@@ -76,9 +83,9 @@ def _sign(sign: str) -> float:
     return 1.0 if sign == "+" else -1.0
 
 
-def _commutator(f, opa, opb, x, variant) -> np.ndarray:
-    """f(A) X fbar(B) - f(B) X fbar(A), or f(A) X fbar(B) + 2X + f(B) X fbar(A)."""
-    fa, fb = funcalc.apply_normal(f, opa), funcalc.apply_normal(f, opb)
+def _commutator(fa, fb, x, variant) -> np.ndarray:
+    """f(A) X fbar(B) - f(B) X fbar(A), or f(A) X fbar(B) + 2X + f(B) X fbar(A),
+    of matrices or of stacks."""
     if variant == "commutator":
         return fa @ x @ linalg.adjoint(fb) - fb @ x @ linalg.adjoint(fa)
     if variant == "anticommutator2X":
@@ -86,10 +93,46 @@ def _commutator(f, opa, opb, x, variant) -> np.ndarray:
     raise ValueError(f"variant must be 'commutator' or 'anticommutator2X', got {variant!r}")
 
 
-def _cross(opa, opb, x) -> tuple:
-    """(A X B*, B X A*)."""
-    a, b = opa.matrix, opb.matrix
+def _cross(a, b, x) -> tuple:
+    """(A X B*, B X A*), of matrices or of stacks."""
     return a @ x @ linalg.adjoint(b), b @ x @ linalg.adjoint(a)
+
+
+def _norms(stack: np.ndarray) -> list:
+    """The spectral norm of each matrix of a stack, from one call, as floats."""
+    return linalg.spectral_norm(stack).tolist()
+
+
+def _matrices(ops) -> np.ndarray:
+    return np.array([op.matrix for op in ops])
+
+
+def _f_pairs(fs, opas, opbs) -> tuple:
+    """The f(A) and f(B) stacks of a chunk of two-operator trials, from one
+    apply_normal_stack call."""
+    both = funcalc.apply_normal_stack([f for f in fs for _ in range(2)],
+                                      [op for pair in zip(opas, opbs) for op in pair])
+    return both[0::2], both[1::2]
+
+
+def _by_variant(suite, allowed, variants, seeds, dim, sides) -> list:
+    """The reports of a chunk of trials, in order.
+
+    sides(variant, idx) returns the lhs and rhs lists of the trials idx that
+    take variant, once for each variant of allowed that some trial takes; a
+    variant that no trial takes makes no call. Any other variant raises
+    ValueError, before sides is called.
+    """
+    bad = [v for v in variants if v not in allowed]
+    if bad:
+        raise ValueError(f"variant must be {' or '.join(map(repr, allowed))}, got {bad[0]!r}")
+    reports = [None] * len(variants)
+    for variant in allowed:
+        idx = [i for i, v in enumerate(variants) if v == variant]
+        if idx:
+            for i, lhs, rhs in zip(idx, *sides(variant, idx)):
+                reports[i] = _report(f"{suite}:{variant}", lhs, rhs, seeds[i], dim)
+    return reports
 
 
 def check_lemma21_a(a, x, seed: int = 0) -> InequalityReport:
@@ -152,62 +195,93 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
     return _report(f"thm22:{variant}", lhs, rhs, seed, op.dim)
 
 
+def check_cor23_chunk(fs, ops, variants, seeds) -> list:
+    """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||, on
+    a chunk of trials: f, A, variant and seed are each a sequence over them."""
+    fa = funcalc.apply_normal_stack(fs, ops)
+    a = _matrices(ops)
+
+    def sides(variant, idx):
+        if variant == "re":
+            norms = _norms(np.eye(a.shape[-1]) - a[idx] @ linalg.adjoint(a[idx]))
+            return (_norms(linalg.herm_part(fa[idx])),
+                    [(1.0 / ops[i].d**2) * norm for i, norm in zip(idx, norms)])
+        return (_norms(linalg.skew_part(fa[idx])),
+                [(2.0 / ops[i].d**2) * norm for i, norm in zip(idx, _norms(a[idx]))])
+
+    return _by_variant("cor23", ("re", "im"), variants, seeds, a.shape[-1], sides)
+
+
 def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
-    """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||."""
-    a = op.matrix
-    fa = funcalc.apply_normal(f, op)
-    if variant == "re":
-        lhs = _norm(linalg.herm_part(fa))
-        rhs = (1.0 / op.d**2) * _norm(np.eye(op.dim) - a @ linalg.adjoint(a))
-    elif variant == "im":
-        lhs = _norm(linalg.skew_part(fa))
-        rhs = (2.0 / op.d**2) * _norm(a)
-    else:
-        raise ValueError(f"variant must be 're' or 'im', got {variant!r}")
-    return _report(f"cor23:{variant}", lhs, rhs, seed, op.dim)
+    """check_cor23_chunk on one trial."""
+    return check_cor23_chunk((f,), (op,), (variant,), (seed,))[0]
 
 
 def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (2/(dA dB)) [2w(X) + w(AXB* + BXA*) + w(AXB* - BXA*)]."""
-    lhs = _w(_commutator(f, opa, opb, x, variant))
-    axb, bxa = _cross(opa, opb, x)
+    fa, fb = funcalc.apply_normal_stack((f, f), (opa, opb))
+    lhs = _w(_commutator(fa, fb, x, variant))
+    axb, bxa = _cross(opa.matrix, opb.matrix, x)
     rhs = (2.0 / (opa.d * opb.d)) * (2.0 * _w(x) + _w(axb + bxa) + _w(axb - bxa))
     return _report(f"thm24:{variant}", lhs, rhs, seed, len(x))
 
 
+def check_rem25_chunk(fs, opas, opbs, xs, variants, seeds) -> list:
+    """Operator-norm form for self-adjoint X, on a chunk of trials (f, A, B, X,
+    variant and seed are each a sequence over them); any X that is not
+    self-adjoint raises NotSelfAdjoint first:
+    ||f(A) X fbar(B) -/+ ...|| <= (4/(dA dB)) max(||X|| + ||AXB*||, ||X|| + ||BXA*||)."""
+    x = np.array(xs)
+    if not (np.linalg.norm(x - linalg.adjoint(x), axis=(-2, -1)) <= SELFADJOINT_TOL).all():
+        raise NotSelfAdjoint("X must be self-adjoint within tolerance")
+    fa, fb = _f_pairs(fs, opas, opbs)
+    axb, bxa = _cross(_matrices(opas), _matrices(opbs), x)
+    rhs = [(4.0 / (opa.d * opb.d)) * max(nx + naxb, nx + nbxa) for opa, opb, nx, naxb, nbxa
+           in zip(opas, opbs, _norms(x), _norms(axb), _norms(bxa))]
+
+    def sides(variant, idx):
+        return _norms(_commutator(fa[idx], fb[idx], x[idx], variant)), [rhs[i] for i in idx]
+
+    return _by_variant("rem25", ("commutator", "anticommutator2X"), variants, seeds,
+                       x.shape[-1], sides)
+
+
 def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
-    """Operator-norm form for self-adjoint X:
-    ||f(A) X fbar(B) -/+ ...|| <= (4/(dA dB)) max(||X|| + ||AXB*||, ||X|| + ||BXA*||)."""
-    if not (np.linalg.norm(x - linalg.adjoint(x)) <= SELFADJOINT_TOL):
-        raise NotSelfAdjoint("X must be self-adjoint within tolerance")
-    lhs = _norm(_commutator(f, opa, opb, x, variant))
-    axb, bxa = _cross(opa, opb, x)
-    nx = _norm(x)
-    rhs = (4.0 / (opa.d * opb.d)) * max(nx + _norm(axb), nx + _norm(bxa))
-    return _report(f"rem25:{variant}", lhs, rhs, seed, len(x))
+    """check_rem25_chunk on one trial."""
+    return check_rem25_chunk((f,), (opa,), (opb,), (x,), (variant,), (seed,))[0]
+
+
+def check_cor26_chunk(fs, opas, opbs, variants, seeds) -> list:
+    """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||),
+    on a chunk of trials: f, A, B, variant and seed are each a sequence over them."""
+    fa, fb = _f_pairs(fs, opas, opbs)
+    product = fa @ linalg.adjoint(fb)
+    rhs = [(2.0 / (opa.d * opb.d)) * (1.0 + norm) for opa, opb, norm
+           in zip(opas, opbs, _norms(_matrices(opas) @ linalg.adjoint(_matrices(opbs))))]
+    n = product.shape[-1]
+
+    def sides(variant, idx):
+        if variant == "im":
+            return _norms(linalg.skew_part(product[idx])), [rhs[i] for i in idx]
+        return _norms(linalg.herm_part(product[idx]) + np.eye(n)), [rhs[i] for i in idx]
+
+    return _by_variant("cor26", ("im", "re_plus_I"), variants, seeds, n, sides)
 
 
 def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: str,
                 seed: int = 0) -> InequalityReport:
-    """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||)."""
-    product = funcalc.apply_normal(f, opa) @ linalg.adjoint(funcalc.apply_normal(f, opb))
-    if variant == "im":
-        lhs = _norm(linalg.skew_part(product))
-    elif variant == "re_plus_I":
-        lhs = _norm(linalg.herm_part(product) + np.eye(opa.dim))
-    else:
-        raise ValueError(f"variant must be 'im' or 're_plus_I', got {variant!r}")
-    rhs = (2.0 / (opa.d * opb.d)) * (1.0 + _norm(opa.matrix @ linalg.adjoint(opb.matrix)))
-    return _report(f"cor26:{variant}", lhs, rhs, seed, opa.dim)
+    """check_cor26_chunk on one trial."""
+    return check_cor26_chunk((f,), (opa,), (opb,), (variant,), (seed,))[0]
 
 
 def check_rem27(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (4/(dA dB)) (1 + max(||A||^2, ||B||^2)) w(X)."""
-    lhs = _w(_commutator(f, opa, opb, x, variant))
+    fa, fb = funcalc.apply_normal_stack((f, f), (opa, opb))
+    lhs = _w(_commutator(fa, fb, x, variant))
     norm_max = max(_norm(opa.matrix) ** 2, _norm(opb.matrix) ** 2)
     rhs = (4.0 / (opa.d * opb.d)) * (1.0 + norm_max) * _w(x)
     return _report(f"rem27:{variant}", lhs, rhs, seed, len(x))

@@ -59,6 +59,20 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - adjoint(a)) / 2j
 
 
+def diag_similarity(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """U diag(v) U* of each pair of a (k, n, n) stack of U and a (k, n) stack of v.
+
+    The columns of each U are scaled by its v in one product per matrix, as
+    a single (n, n) by (n,) product does: at n = 1, numpy multiplies a whole
+    stack in another loop, which rounds differently. One matmul then takes
+    every product with U*, with the bits of one call per matrix.
+    """
+    scaled = np.empty(u.shape, dtype=np.result_type(u, values))
+    for ui, vi, out in zip(u, values, scaled):
+        np.multiply(ui, vi, out=out)
+    return scaled @ adjoint(u)
+
+
 def _slot(workspace: np.ndarray | None, i: int, k: int) -> np.ndarray | None:
     """workspace[i, :k] as an out= argument; None, a fresh array, without one."""
     return None if workspace is None else workspace[i, :k]
@@ -94,7 +108,8 @@ def spectral_norm(a: np.ndarray, workspace: np.ndarray | None = None) -> float |
         raise DimensionMismatch(f"expected nonempty matrices, got shape {a.shape}")
     scratch = _slot(workspace, 1, len(a))
     big = np.abs(a, out=None if scratch is None else scratch.real).max(axis=(-2, -1))
-    if all(2.0**-200 <= x <= 2.0**200 for x in big.ravel().tolist()):
+    # one comparison over the stack; a NaN fails it and takes the scaled route
+    if ((2.0**-200 <= big) & (big <= 2.0**200)).all():
         return _gram_norm(a, workspace)
     exp = np.maximum(np.frexp(big)[1], -1023)
     return np.ldexp(_gram_norm(a * np.ldexp(1.0, -exp)[..., None, None], workspace), exp)

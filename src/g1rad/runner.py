@@ -6,11 +6,21 @@ without rerunning the batch. run_suite samples each (suite, dim) cell in
 chunks of consecutive trials (_run_cell) whose G1 operators, at most
 _CELL_BYTES of them, g1gen builds and checks as one stack. An operator has
 the same bits in any chunk, so run_trial alone replays any trial exactly.
+
+The split between chunks and trials is deliberate. The suites that take no
+w() (cor23, rem25 and cor26) evaluate each chunk in one call of their ineq
+chunk checker: one f(A) product and one spectral_norm call per norm operand.
+The nine w() suites call their checker once per trial, so that every w()
+goes through wradius.numerical_radius on its own matrix, where the
+benchmark's tracer checks each result against its witness; a stacked w()
+waits until that check covers stacked calls.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import numbers
 import operator
 import os
@@ -58,16 +68,20 @@ def _operators(count: int, x: str = "") -> Callable:
 
 
 class Suite(NamedTuple):
-    """A catalog statement: its ``ineq`` checker's name, variants and input sampler.
+    """A catalog statement: its ``ineq`` checker's name, variants and input
+    sampler, and the name of its chunk checker, if it has one.
 
     ``sample(rng, dim, config)`` draws a trial's (head, seeds, tail): the
     checker's inputs are head, then the G1 operators of the sub-seeds, then
-    tail.
+    tail. A chunk checker takes a chunk of trials: each checker input as the
+    sequence of its values over the trials, then their variants and seeds,
+    and it returns their reports, in order.
     """
 
     checker: str
     variants: tuple
     sample: Callable
+    chunk_checker: str = ""
 
 
 _COMMUTATORS = ("commutator", "anticommutator2X")
@@ -81,10 +95,10 @@ SUITES = {
     "lemma21f": Suite("check_lemma21_f", ("",), lambda rng, dim, config: (
         (_ginibre(rng, dim), float(rng.uniform(0.0, 2.0 * np.pi))), (), ())),
     "thm22": Suite("check_thm22", ("sum", "diff"), _operators(1, "ginibre")),
-    "cor23": Suite("check_cor23", ("re", "im"), _operators(1)),
+    "cor23": Suite("check_cor23", ("re", "im"), _operators(1), "check_cor23_chunk"),
     "thm24": Suite("check_thm24", _COMMUTATORS, _operators(2, "ginibre")),
-    "rem25": Suite("check_rem25", _COMMUTATORS, _operators(2, "hermitian")),
-    "cor26": Suite("check_cor26", ("im", "re_plus_I"), _operators(2)),
+    "rem25": Suite("check_rem25", _COMMUTATORS, _operators(2, "hermitian"), "check_rem25_chunk"),
+    "cor26": Suite("check_cor26", ("im", "re_plus_I"), _operators(2), "check_cor26_chunk"),
     "rem27": Suite("check_rem27", _COMMUTATORS, _operators(2, "ginibre")),
 }
 ALL_SUITES = tuple(SUITES)
@@ -193,25 +207,37 @@ def _inputs(draws: list, dim: int, rho_max: float) -> list:
     return [head + tuple(islice(ops, len(seeds))) + tail for head, seeds, tail in draws]
 
 
-def run_trial(config: TrialConfig, suite: str, dim: int, trial: int, *,
-              inputs: tuple | None = None) -> InequalityReport:
+def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
+              inputs: tuple | list | None = None) -> InequalityReport | list:
     """Run the checker on the trial's inputs, drawn from its derived seed.
 
     Multi-variant suites rotate their variants with the trial index ("" is
     no variant argument). The checker is looked up on ``ineq`` at call time.
     run_suite passes the inputs that it drew for the trial with its chunk;
     without them the trial is drawn as a cell of one, to the same bits.
+
+    trial may also be a range of consecutive trials, with inputs the list of
+    theirs, and the list of their reports is returned: run_suite runs each
+    chunk of a suite with a chunk checker so, in one call of that checker.
+    One trial of such a suite runs as a chunk of one, through the same code.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     row = SUITES[suite]
+    trials = trial if isinstance(trial, range) else range(trial, trial + 1)
     if inputs is None:
-        (inputs,) = _inputs([_draw(config, suite, dim, trial)], dim, config.rho_max)
-    variant = row.variants[trial % len(row.variants)]
-    if variant:
-        inputs += (variant,)
-    seed = trial_seed(config.master_seed, suite, dim, trial)
-    return getattr(ineq, row.checker)(*inputs, seed=seed)
+        inputs = _inputs([_draw(config, suite, dim, t) for t in trials], dim, config.rho_max)
+    elif trials is not trial:
+        inputs = [inputs]
+    variants = [row.variants[t % len(row.variants)] for t in trials]
+    seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
+    if row.chunk_checker:
+        reports = getattr(ineq, row.chunk_checker)(*zip(*inputs), variants, seeds)
+    else:
+        check = getattr(ineq, row.checker)
+        reports = [check(*args, *(variant,) if variant else (), seed=seed)
+                   for args, variant, seed in zip(inputs, variants, seeds)]
+    return reports if trials is trial else reports[0]
 
 
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
@@ -219,8 +245,12 @@ def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
 
     Each trial draws its inputs from its own stream, its G1 operators as
     sub-seeds; one g1gen.random_g1_stack call builds and checks a chunk's
-    operators, and run_trial runs each trial's checker. A chunk is as many
-    consecutive trials as keep their operators' matrices and unitaries within
+    operators. A suite with a chunk checker (cor23, rem25 and cor26, which
+    take no w()) then runs the chunk in one run_trial call, so that each f(A)
+    product and each norm operand takes one stacked call per chunk. The other
+    suites run one run_trial call per trial, and every w() goes through
+    wradius.numerical_radius on its own. A chunk is as many consecutive
+    trials as keep their operators' matrices and unitaries within
     _CELL_BYTES, and at least one; every trial of a suite draws as many
     operators as the first, and a suite that draws none runs one trial per
     chunk. Only one chunk's inputs are held.
@@ -232,9 +262,14 @@ def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
     size = max(1, _CELL_BYTES // bytes_per_trial) if bytes_per_trial else 1
     draws, reports = chain((first,), draws), []
     for start in range(0, len(trials), size):
+        chunk = trials[start:start + size]
         # no name holds a chunk's inputs, so they go before the next chunk is drawn
-        reports += [run_trial(config, suite, dim, trial, inputs=args) for trial, args in
-                    zip(trials[start:], _inputs(list(islice(draws, size)), dim, config.rho_max))]
+        if SUITES[suite].chunk_checker:
+            reports += run_trial(config, suite, dim, chunk, inputs=_inputs(
+                list(islice(draws, size)), dim, config.rho_max))
+        else:
+            reports += [run_trial(config, suite, dim, trial, inputs=args) for trial, args in
+                        zip(chunk, _inputs(list(islice(draws, size)), dim, config.rho_max))]
     return reports
 
 
@@ -286,6 +321,24 @@ def report_to_json(report: InequalityReport) -> dict:
     return dict(zip(REPORT_KEYS, _report_values(report)))
 
 
+# A report's JSON row, as serialize.dumps writes report_to_json's dict: one
+# format over REPORT_KEYS, with lhs, rhs and ratio as .17g (finite only)
+_JSON_ROW = "{" + ", ".join(f"{json.dumps(key)}: %{spec}" for key, spec in zip(
+    REPORT_KEYS, ("s", ".17g", ".17g", ".17g", "s", "d", "d"))) + "}"
+
+
+def report_json(report: InequalityReport) -> serialize.Fragment:
+    """One report as the JSON object that a batch's details list holds and
+    verify --replay writes: the text of serialize.dumps(report_to_json(report)).
+    A report whose lhs, rhs and ratio are finite gets it from one format,
+    which is faster; NaN and Infinity have no .17g form."""
+    name, lhs, rhs, ratio, passed, seed, dim = _report_values(report)
+    if math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(ratio):
+        return serialize.Fragment(_JSON_ROW % (json.dumps(name), lhs, rhs, ratio,
+                                               "true" if passed else "false", seed, dim))
+    return serialize.Fragment(serialize.dumps(report_to_json(report)))
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -298,7 +351,7 @@ def render_report(suites, details, fmt: str, config: TrialConfig) -> str:
         payload = {
             "config": config.to_json(),
             "suites": [s.to_json() for s in suites],
-            "details": [report_to_json(r) for r in details],
+            "details": [report_json(r) for r in details],
         }
         return serialize.dumps(payload) + "\n"
     if fmt == "csv":

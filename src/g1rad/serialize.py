@@ -26,6 +26,10 @@ def _json_number(x: float) -> str:
     return fmt_float(x)
 
 
+class Fragment(str):
+    """JSON text that dumps writes as it is, such as a row rendered already."""
+
+
 def dumps(obj) -> str:
     """Serialize nested dict/list/scalar structures with .17g floats."""
     out: list[str] = []
@@ -43,7 +47,7 @@ def _write(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_json_number(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(obj if isinstance(obj, Fragment) else json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

@@ -137,6 +137,21 @@ def test_apply_normal_scalar_case():
     assert_allclose(fa, [[3.0]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_apply_normal_stack_gives_each_pair_the_bits_of_one_product(n):
+    # f(A) of one operator as U diag(f(lambda)) U*, one kernel sum and one
+    # product per pair; at n = 1 a product over a whole stack rounds otherwise
+    ops = g1gen.random_g1_stack(range(50, 61), n, 0.8)
+    fs = [funcalc.random_herglotz(seed, 8) for seed in range(70, 81)]
+    stack = funcalc.apply_normal_stack(fs, ops)
+    for f, op, fa in zip(fs, ops, stack):
+        z = op.spectrum[:, None]
+        values = np.sum(f.weights * (f.phases + z) / (f.phases - z), axis=-1)
+        expected = (op.unitary * values) @ op.unitary.conj().T
+        assert fa.tobytes() == expected.tobytes()
+        assert funcalc.apply_normal(f, op).tobytes() == expected.tobytes()
+
+
 def certified(matrix, spectrum) -> g1gen.G1Operator:
     """A certificate-only operator: no diagonalizer, as a bare operator file loads."""
     return g1gen.G1Operator(matrix=matrix, spectrum=spectrum, unitary=None,

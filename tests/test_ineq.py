@@ -443,6 +443,64 @@ def test_cor26_random_both_variants():
             assert ineq.check_cor26(f, opa, opb, variant).passed
 
 
+# ---------------------------------------------------------------- chunks
+
+CHUNK_SUITES = [s for s, row in runner.SUITES.items() if row.chunk_checker]
+
+
+def chunk_columns(suite, n, variants):
+    """A chunk checker's arguments for len(variants) trials drawn as run_suite
+    draws a (suite, n) cell, with the given variants."""
+    config = runner.TrialConfig(master_seed=9)
+    draws = [runner._draw(config, suite, n, t) for t in range(len(variants))]
+    inputs = runner._inputs(draws, n, config.rho_max)
+    return (*zip(*inputs), list(variants), list(range(100, 100 + len(variants))))
+
+
+def test_the_chunk_checkers_are_those_of_the_norm_suites():
+    assert CHUNK_SUITES == ["cor23", "rem25", "cor26"]
+
+
+@pytest.mark.parametrize("suite", CHUNK_SUITES)
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_chunk_gives_each_trial_its_report_alone(suite, n):
+    row = runner.SUITES[suite]
+    first, second = row.variants
+    args = chunk_columns(suite, n, [second, first, first, second, second, first, second])
+    chunk = getattr(ineq, row.chunk_checker)(*args)
+    alone = [getattr(ineq, row.checker)(*trial[:-1], seed=trial[-1]) for trial in zip(*args)]
+    assert [r.name for r in chunk] == [f"{suite}:{v}" for v in args[-2]]
+    assert chunk == alone
+
+
+@pytest.mark.parametrize("suite, calls", [("cor23", 2), ("rem25", 4), ("cor26", 2)])
+def test_one_spectral_norm_call_per_operand_and_none_for_a_variant_no_trial_takes(
+        monkeypatch, suite, calls):
+    counted = []
+    norm = linalg.spectral_norm
+
+    def counting(stack, *args):
+        counted.append(len(stack))
+        return norm(stack, *args)
+
+    monkeypatch.setattr(linalg, "spectral_norm", counting)
+    row = runner.SUITES[suite]
+    getattr(ineq, row.chunk_checker)(*chunk_columns(suite, 2, [row.variants[0]] * 6))
+    assert counted == [6] * calls
+    counted.clear()
+    getattr(ineq, row.chunk_checker)(*chunk_columns(suite, 2, row.variants * 3))
+    # a second variant adds the operands that differ between the variants
+    assert len(counted) == {"cor23": 4, "rem25": 5, "cor26": 3}[suite]
+
+
+def test_a_chunk_raises_not_self_adjoint_for_its_first_failing_x():
+    fs, opas, opbs, xs, variants, seeds = chunk_columns("rem25", 3, ["commutator"] * 4)
+    xs = list(xs)
+    xs[2] = xs[2] + 1e-6j * np.eye(3)
+    with pytest.raises(NotSelfAdjoint, match="^X must be self-adjoint within tolerance$"):
+        ineq.check_rem25_chunk(fs, opas, opbs, xs, variants, seeds)
+
+
 # ---------------------------------------------------------------- rem27
 
 def test_rem27_zero_x():

@@ -113,7 +113,11 @@ def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim
         return inputs(draws, n, rho_max)
 
     monkeypatch.setattr(runner, "_inputs", recording)
-    monkeypatch.setattr(ineq, runner.SUITES[suite].checker, lambda *args, seed: seed)
+    row = runner.SUITES[suite]
+    if row.chunk_checker:  # one call per chunk, whose last argument is the seeds
+        monkeypatch.setattr(ineq, row.chunk_checker, lambda *args: list(args[-1]))
+    else:
+        monkeypatch.setattr(ineq, row.checker, lambda *args, seed: seed)
     cfg = runner.TrialConfig(dims=(dim,), trials_per_suite=trials, suites=(suite,))
     seeds = runner._run_cell(cfg, suite, dim)
     assert sizes == chunks
@@ -130,6 +134,24 @@ def test_the_chunk_budget_does_not_change_the_report(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(runner, "_CELL_BYTES", budget)
             assert report() == expected
+
+
+def bits(report) -> tuple:
+    return (report.name, report.lhs.hex(), report.rhs.hex(), report.ratio.hex(),
+            report.passed, report.seed, report.dim)
+
+
+@pytest.mark.parametrize("budget", [1, 100 << 10, 1 << 40], ids=["1B", "100KiB", "1TiB"])
+def test_chunked_norm_suites_give_each_trial_the_bits_of_run_trial(monkeypatch, budget):
+    # at n = 1 a product over a whole stack rounds otherwise than one per
+    # operator; at n = 16 and 100 KiB, cor23 runs chunks of 12, rem25 and cor26 of 6
+    config = runner.TrialConfig(master_seed=23, dims=(1, 2, 3, 5, 8, 16), trials_per_suite=13,
+                                suites=("cor23", "rem25", "cor26"))
+    monkeypatch.setattr(runner, "_CELL_BYTES", budget)
+    batch = runner.run_suite(config).details
+    alone = [runner.run_trial(config, suite, dim, trial)
+             for suite in config.suites for dim in config.dims for trial in range(13)]
+    assert list(map(bits, batch)) == list(map(bits, alone))
 
 
 def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch):
@@ -151,8 +173,8 @@ def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
     # unitaries, more than the budget, so the cell runs a trial a chunk. With
     # the temporaries of building and checking them it peaks at about 9 such
     # chunks; the cell's 400 operators built as one stack took 300 MB.
-    monkeypatch.setattr(ineq, "check_rem25",
-                        lambda *args, seed: ineq._report("rem25", 0.0, 1.0, seed, 64))
+    monkeypatch.setattr(ineq, "check_rem25_chunk", lambda *args: [
+        ineq._report("rem25", 0.0, 1.0, seed, 64) for seed in args[-1]])
     config = runner.TrialConfig(master_seed=1, dims=(64,), trials_per_suite=200,
                                 suites=("rem25",))
     tracemalloc.start()
@@ -237,6 +259,24 @@ def test_json_emits_17_digit_floats():
     report = result.details[0]
     doc = json.loads(runner.render_report(result.suites, result.details, "json", TINY))
     assert doc["details"][0]["lhs"] == report.lhs  # exact double round-trip
+
+
+@pytest.mark.parametrize("lhs, rhs, ratio", [
+    (0.1, 0.30000000000000004, 1.0 / 3.0),
+    (1.2345678901234567e-300, 9.8765432109876543e+300, 5e-324),
+    (-0.0, 0.0, 0.0),
+    (math.nan, 1.0, math.nan),
+    (1.0, 0.0, math.inf),
+    (-1.0, 0.0, -math.inf),
+    (math.inf, math.inf, math.nan),
+])
+def test_a_json_row_is_the_dumps_of_its_dict(lhs, rhs, ratio):
+    for passed in (True, False):
+        report = ineq.InequalityReport("rem25:commutator", lhs, rhs, ratio, passed,
+                                       (1 << 64) - 1, 16)
+        row = runner.report_json(report)
+        assert row == serialize.dumps(runner.report_to_json(report))
+        assert serialize.dumps([row]) == f"[{row}]"
 
 
 def test_empty_details_json():
@@ -346,6 +386,20 @@ def test_norm_only_csv_report_is_pinned():
     result = runner.run_suite(cfg)
     text = runner.render_report(result.suites, result.details, "csv", cfg)
     assert hashlib.sha256(text.encode()).hexdigest() == NORM_ONLY_CSV_SHA256
+
+
+# SHA-256 of the JSON report of the seed-42 batch of 60 trials of cor23, rem25
+# and cor26 at dims 1, 2, 3, 5, 8 and 16. At n = 1, numpy multiplies a whole
+# stack in another loop than one operator, which rounds differently.
+NORM_DIMS_JSON_SHA256 = "683a1e955381ff2cbf0a504edc373bfb1026da3e6db74991aa6b10716051df2d"
+
+
+def test_norm_suites_json_report_from_n_1_to_16_is_pinned():
+    cfg = runner.TrialConfig(master_seed=42, dims=(1, 2, 3, 5, 8, 16), trials_per_suite=60,
+                             suites=("cor23", "rem25", "cor26"))
+    result = runner.run_suite(cfg)
+    text = runner.render_report(result.suites, result.details, "json", cfg)
+    assert hashlib.sha256(text.encode()).hexdigest() == NORM_DIMS_JSON_SHA256
 
 
 def test_every_variant_reaches_its_checker():
