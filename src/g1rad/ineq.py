@@ -4,16 +4,16 @@ Each checker computes the left and right sides of one statement on concrete
 matrices and returns an InequalityReport with the tightness ratio lhs/rhs.
 Statements are named by their catalog ids (lemma21a..f, thm22, cor23,
 thm24, rem25, cor26, rem27); variants select the sign or expression form.
-Checkers take their operands as the sampler or G1Operator built them and
+Checkers take their operands as runner or G1Operator built them and
 re-check none of them; only rem25's own hypothesis, a self-adjoint X, is checked.
 f(A) is funcalc.apply_normal_stack's, so every G1Operator must carry its
-diagonalizer. The norm statements cor23, rem25 and cor26 are evaluated a
-chunk of trials of one n at a time (check_*_chunk): one apply_normal_stack
-call gives every f(A) and f(B), and each norm operand takes one
-spectral_norm call, over the trials of one variant, or over the chunk when
-it does not depend on the variant. Each right side is then formed in Python
-floats, in the order of operations of one trial, and the one-trial checkers
-are a chunk of one, so a trial has the same bits in any chunk.
+diagonalizer. The w() checkers take one trial; the norm checkers cor23,
+rem25 and cor26 take a chunk of trials of one n: one apply_normal_stack call
+gives every f(A) and f(B), and each norm operand takes one spectral_norm
+call, over the trials of one variant, or over the chunk when it does not
+depend on the variant. Each right side is then formed in Python floats, in
+the order of operations of one trial, so a trial has the same bits in any
+chunk, a chunk of one included.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
     return _report(f"thm22:{variant}", lhs, rhs, seed, op.dim)
 
 
-def check_cor23_chunk(fs, ops, variants, seeds) -> list:
+def check_cor23(fs, ops, variants, seeds) -> list:
     """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||, on
     a chunk of trials: f, A, variant and seed are each a sequence over them."""
     fa = funcalc.apply_normal_stack(fs, ops)
@@ -212,12 +212,6 @@ def check_cor23_chunk(fs, ops, variants, seeds) -> list:
     return _by_variant("cor23", ("re", "im"), variants, seeds, a.shape[-1], sides)
 
 
-def check_cor23(f: HerglotzFunction, op: G1Operator, variant: str,
-                seed: int = 0) -> InequalityReport:
-    """check_cor23_chunk on one trial."""
-    return check_cor23_chunk((f,), (op,), (variant,), (seed,))[0]
-
-
 def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (2/(dA dB)) [2w(X) + w(AXB* + BXA*) + w(AXB* - BXA*)]."""
@@ -228,7 +222,7 @@ def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
     return _report(f"thm24:{variant}", lhs, rhs, seed, len(x))
 
 
-def check_rem25_chunk(fs, opas, opbs, xs, variants, seeds) -> list:
+def check_rem25(fs, opas, opbs, xs, variants, seeds) -> list:
     """Operator-norm form for self-adjoint X, on a chunk of trials (f, A, B, X,
     variant and seed are each a sequence over them); any X that is not
     self-adjoint raises NotSelfAdjoint first:
@@ -248,13 +242,7 @@ def check_rem25_chunk(fs, opas, opbs, xs, variants, seeds) -> list:
                        x.shape[-1], sides)
 
 
-def check_rem25(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
-                variant: str, seed: int = 0) -> InequalityReport:
-    """check_rem25_chunk on one trial."""
-    return check_rem25_chunk((f,), (opa,), (opb,), (x,), (variant,), (seed,))[0]
-
-
-def check_cor26_chunk(fs, opas, opbs, variants, seeds) -> list:
+def check_cor26(fs, opas, opbs, variants, seeds) -> list:
     """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||),
     on a chunk of trials: f, A, B, variant and seed are each a sequence over them."""
     fa, fb = _f_pairs(fs, opas, opbs)
@@ -269,12 +257,6 @@ def check_cor26_chunk(fs, opas, opbs, variants, seeds) -> list:
         return _norms(linalg.herm_part(product[idx]) + np.eye(n)), [rhs[i] for i in idx]
 
     return _by_variant("cor26", ("im", "re_plus_I"), variants, seeds, n, sides)
-
-
-def check_cor26(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, variant: str,
-                seed: int = 0) -> InequalityReport:
-    """check_cor26_chunk on one trial."""
-    return check_cor26_chunk((f,), (opa,), (opb,), (variant,), (seed,))[0]
 
 
 def check_rem27(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,

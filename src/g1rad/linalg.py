@@ -111,8 +111,12 @@ def spectral_norm(a: np.ndarray, workspace: np.ndarray | None = None) -> float |
     # one comparison over the stack; a NaN fails it and takes the scaled route
     if ((2.0**-200 <= big) & (big <= 2.0**200)).all():
         return _gram_norm(a, workspace)
+    # a member with a NaN or inf entry is evaluated as zero (at n >= 3,
+    # eigvalsh would raise for the whole stack) and its norm is NaN
+    finite = np.isfinite(big)
     exp = np.maximum(np.frexp(big)[1], -1023)
-    return np.ldexp(_gram_norm(a * np.ldexp(1.0, -exp)[..., None, None], workspace), exp)
+    scaled = np.where(finite[..., None, None], a, 0.0) * np.ldexp(1.0, -exp)[..., None, None]
+    return np.where(finite, np.ldexp(_gram_norm(scaled, workspace), exp), np.nan)[()]
 
 
 def _fro_norms(stack: np.ndarray) -> np.ndarray:

@@ -2,18 +2,19 @@
 
 Every trial derives its RNG stream from a SHA-256 hash of
 (master_seed, suite, dim, trial), so any single report can be replayed
-without rerunning the batch. run_suite samples each (suite, dim) cell in
-chunks of consecutive trials (_run_cell) whose G1 operators, at most
-_CELL_BYTES of them, g1gen builds and checks as one stack. An operator has
-the same bits in any chunk, so run_trial alone replays any trial exactly.
+without rerunning the batch. A SUITES row names its ineq checker, its
+variants and the kinds of its checker's inputs, which a trial draws in that
+order. run_suite runs each (suite, dim) cell in chunks of consecutive trials
+(_run_cell), one run_trial call per chunk; g1gen builds and checks a chunk's
+G1 operators, at most _CELL_BYTES of them, as one stack. An operator has the
+same bits in any chunk, so run_trial alone replays any trial exactly.
 
-The split between chunks and trials is deliberate. The suites that take no
-w() (cor23, rem25 and cor26) evaluate each chunk in one call of their ineq
-chunk checker: one f(A) product and one spectral_norm call per norm operand.
-The nine w() suites call their checker once per trial, so that every w()
-goes through wradius.numerical_radius on its own matrix, where the
-benchmark's tracer checks each result against its witness; a stacked w()
-waits until that check covers stacked calls.
+The split between chunks and trials is deliberate. The rows that take no
+w() (cor23, rem25 and cor26) are chunked: their checker takes a whole chunk
+in one call. The nine w() suites call their checker once per trial, so that
+every w() goes through wradius.numerical_radius on its own matrix, where
+the benchmark's tracer checks each result against its witness; a stacked
+w() waits until that check covers stacked calls.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, fields
-from itertools import chain, islice
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .g1gen import G1Operator
 from .ineq import InequalityReport
 
 # Bytes of matrices and unitaries that one chunk of a cell's G1 operators
-# holds, unless its first trial alone holds more.
+# holds, unless one trial alone holds more.
 _CELL_BYTES = 64 << 10
 
 
@@ -49,57 +49,49 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 1 << 62))
 
 
-def _matrices(count: int) -> Callable:
-    """Sampler of `count` Ginibre matrices."""
-    return lambda rng, dim, config: (tuple(_ginibre(rng, dim) for _ in range(count)), (), ())
-
-
-def _operators(count: int, x: str = "") -> Callable:
-    """Sampler of f, then the sub-seeds of `count` G1 operators, then X when
-    `x` is "ginibre" or "hermitian" (the Hermitian part of a Ginibre matrix)."""
-    def sample(rng, dim, config) -> tuple:
-        f = funcalc.random_herglotz(_sub_seed(rng), config.atoms)
-        seeds = tuple(_sub_seed(rng) for _ in range(count))
-        if not x:
-            return (f,), seeds, ()
-        m = _ginibre(rng, dim)
-        return (f,), seeds, (linalg.herm_part(m) if x == "hermitian" else m,)
-    return sample
+# Each kind of checker input, as drawn from a trial's generator. An "op" is
+# drawn as the sub-seed of its G1 operator, which _inputs builds with its chunk.
+_DRAWS = {
+    "ginibre": lambda rng, dim, config: _ginibre(rng, dim),
+    "hermitian": lambda rng, dim, config: linalg.herm_part(_ginibre(rng, dim)),
+    "angle": lambda rng, dim, config: float(rng.uniform(0.0, 2.0 * np.pi)),
+    "f": lambda rng, dim, config: funcalc.random_herglotz(_sub_seed(rng), config.atoms),
+    "op": lambda rng, dim, config: _sub_seed(rng),
+}
 
 
 class Suite(NamedTuple):
-    """A catalog statement: its ``ineq`` checker's name, variants and input
-    sampler, and the name of its chunk checker, if it has one.
+    """A catalog statement: its ``ineq`` checker's name, its variants and the
+    kinds of its checker's inputs (keys of _DRAWS), in the checker's argument
+    order, which is also the order a trial draws them in.
 
-    ``sample(rng, dim, config)`` draws a trial's (head, seeds, tail): the
-    checker's inputs are head, then the G1 operators of the sub-seeds, then
-    tail. A chunk checker takes a chunk of trials: each checker input as the
-    sequence of its values over the trials, then their variants and seeds,
-    and it returns their reports, in order.
+    A checker takes a trial's inputs, then its variant ("" is none) and seed,
+    and returns its report. A ``chunked`` checker takes a chunk of trials:
+    each input as the sequence of its values over the trials, then their
+    variants and seeds, and returns their reports, in order.
     """
 
     checker: str
     variants: tuple
-    sample: Callable
-    chunk_checker: str = ""
+    inputs: tuple
+    chunked: bool = False
 
 
 _COMMUTATORS = ("commutator", "anticommutator2X")
-# A sampler's draw order fixes its trials' inputs; reordering changes every report.
+# A row's inputs fix its trials' draws; reordering them changes every report.
 SUITES = {
-    "lemma21a": Suite("check_lemma21_a", ("",), _matrices(2)),
-    "lemma21b": Suite("check_lemma21_b", ("+", "-"), _matrices(2)),
-    "lemma21c": Suite("check_lemma21_c", ("+", "-"), _matrices(4)),
-    "lemma21d": Suite("check_lemma21_d", ("",), _matrices(4)),
-    "lemma21e": Suite("check_lemma21_e", ("",), _matrices(2)),
-    "lemma21f": Suite("check_lemma21_f", ("",), lambda rng, dim, config: (
-        (_ginibre(rng, dim), float(rng.uniform(0.0, 2.0 * np.pi))), (), ())),
-    "thm22": Suite("check_thm22", ("sum", "diff"), _operators(1, "ginibre")),
-    "cor23": Suite("check_cor23", ("re", "im"), _operators(1), "check_cor23_chunk"),
-    "thm24": Suite("check_thm24", _COMMUTATORS, _operators(2, "ginibre")),
-    "rem25": Suite("check_rem25", _COMMUTATORS, _operators(2, "hermitian"), "check_rem25_chunk"),
-    "cor26": Suite("check_cor26", ("im", "re_plus_I"), _operators(2), "check_cor26_chunk"),
-    "rem27": Suite("check_rem27", _COMMUTATORS, _operators(2, "ginibre")),
+    "lemma21a": Suite("check_lemma21_a", ("",), ("ginibre",) * 2),
+    "lemma21b": Suite("check_lemma21_b", ("+", "-"), ("ginibre",) * 2),
+    "lemma21c": Suite("check_lemma21_c", ("+", "-"), ("ginibre",) * 4),
+    "lemma21d": Suite("check_lemma21_d", ("",), ("ginibre",) * 4),
+    "lemma21e": Suite("check_lemma21_e", ("",), ("ginibre",) * 2),
+    "lemma21f": Suite("check_lemma21_f", ("",), ("ginibre", "angle")),
+    "thm22": Suite("check_thm22", ("sum", "diff"), ("f", "op", "ginibre")),
+    "cor23": Suite("check_cor23", ("re", "im"), ("f", "op"), chunked=True),
+    "thm24": Suite("check_thm24", _COMMUTATORS, ("f", "op", "op", "ginibre")),
+    "rem25": Suite("check_rem25", _COMMUTATORS, ("f", "op", "op", "hermitian"), chunked=True),
+    "cor26": Suite("check_cor26", ("im", "re_plus_I"), ("f", "op", "op"), chunked=True),
+    "rem27": Suite("check_rem27", _COMMUTATORS, ("f", "op", "op", "ginibre")),
 }
 ALL_SUITES = tuple(SUITES)
 REPORT_FORMATS = ("json", "csv")
@@ -194,82 +186,65 @@ def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-def _draw(config: TrialConfig, suite: str, dim: int, trial: int) -> tuple:
-    """The trial's (head, seeds, tail), drawn from its derived seed."""
-    rng = np.random.default_rng(trial_seed(config.master_seed, suite, dim, trial))
-    return SUITES[suite].sample(rng, dim, config)
-
-
-def _inputs(draws: list, dim: int, rho_max: float) -> list:
-    """Each draw's checker inputs, with the G1 operators of all the draws
-    built as one stack."""
-    ops = iter(g1gen.random_g1_stack([s for _, seeds, _ in draws for s in seeds], dim, rho_max))
-    return [head + tuple(islice(ops, len(seeds))) + tail for head, seeds, tail in draws]
+def _inputs(config: TrialConfig, suite: str, dim: int, trials: range) -> list:
+    """Each trial's checker inputs, drawn from its derived seed, with the G1
+    operators of all the trials built and checked as one stack."""
+    kinds = SUITES[suite].inputs
+    inputs = []
+    for trial in trials:
+        rng = np.random.default_rng(trial_seed(config.master_seed, suite, dim, trial))
+        inputs.append([_DRAWS[kind](rng, dim, config) for kind in kinds])
+    slots = [i for i, kind in enumerate(kinds) if kind == "op"]
+    ops = iter(g1gen.random_g1_stack([args[i] for args in inputs for i in slots],
+                                     dim, config.rho_max))
+    for args in inputs:
+        for i in slots:
+            args[i] = next(ops)
+    return inputs
 
 
 def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
-              inputs: tuple | list | None = None) -> InequalityReport | list:
-    """Run the checker on the trial's inputs, drawn from its derived seed.
+              inputs: list | None = None) -> InequalityReport | list:
+    """The report of one trial, drawn from its derived seed; or, for a range
+    of consecutive trials and the list of their inputs, their reports.
 
-    Multi-variant suites rotate their variants with the trial index ("" is
-    no variant argument). The checker is looked up on ``ineq`` at call time.
-    run_suite passes the inputs that it drew for the trial with its chunk;
-    without them the trial is drawn as a cell of one, to the same bits.
-
-    trial may also be a range of consecutive trials, with inputs the list of
-    theirs, and the list of their reports is returned: run_suite runs each
-    chunk of a suite with a chunk checker so, in one call of that checker.
-    One trial of such a suite runs as a chunk of one, through the same code.
+    Multi-variant suites rotate their variants with the trial index. A
+    chunked row's checker takes the range in one call; any other checker is
+    called once per trial. Either is looked up on ``ineq`` at call time. A
+    trial alone is drawn as a chunk of one, to the bits it has in any chunk.
     """
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     row = SUITES[suite]
     trials = trial if isinstance(trial, range) else range(trial, trial + 1)
     if inputs is None:
-        inputs = _inputs([_draw(config, suite, dim, t) for t in trials], dim, config.rho_max)
-    elif trials is not trial:
-        inputs = [inputs]
+        inputs = _inputs(config, suite, dim, trials)
     variants = [row.variants[t % len(row.variants)] for t in trials]
     seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
-    if row.chunk_checker:
-        reports = getattr(ineq, row.chunk_checker)(*zip(*inputs), variants, seeds)
+    check = getattr(ineq, row.checker)
+    if row.chunked:
+        reports = check(*zip(*inputs), variants, seeds)
     else:
-        check = getattr(ineq, row.checker)
         reports = [check(*args, *(variant,) if variant else (), seed=seed)
                    for args, variant, seed in zip(inputs, variants, seeds)]
     return reports if trials is trial else reports[0]
 
 
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
-    """The reports of every trial of a (suite, dim) cell, run chunk by chunk.
+    """The reports of every trial of a (suite, dim) cell, one run_trial call
+    per chunk of consecutive trials.
 
-    Each trial draws its inputs from its own stream, its G1 operators as
-    sub-seeds; one g1gen.random_g1_stack call builds and checks a chunk's
-    operators. A suite with a chunk checker (cor23, rem25 and cor26, which
-    take no w()) then runs the chunk in one run_trial call, so that each f(A)
-    product and each norm operand takes one stacked call per chunk. The other
-    suites run one run_trial call per trial, and every w() goes through
-    wradius.numerical_radius on its own. A chunk is as many consecutive
-    trials as keep their operators' matrices and unitaries within
-    _CELL_BYTES, and at least one; every trial of a suite draws as many
-    operators as the first, and a suite that draws none runs one trial per
-    chunk. Only one chunk's inputs are held.
+    A chunk is as many trials as keep their G1 operators' matrices and
+    unitaries within _CELL_BYTES, and at least one; a suite that draws no
+    operator runs a trial a chunk. Only one chunk's inputs are held.
     """
-    trials = range(config.trials_per_suite)
-    draws = (_draw(config, suite, dim, trial) for trial in trials)
-    first = next(draws)
-    bytes_per_trial = 32 * dim * dim * len(first[1])  # a complex matrix and unitary each
-    size = max(1, _CELL_BYTES // bytes_per_trial) if bytes_per_trial else 1
-    draws, reports = chain((first,), draws), []
+    ops = SUITES[suite].inputs.count("op")
+    size = max(1, _CELL_BYTES // (32 * dim * dim * ops)) if ops else 1  # a matrix and unitary each
+    trials, reports = range(config.trials_per_suite), []
     for start in range(0, len(trials), size):
         chunk = trials[start:start + size]
         # no name holds a chunk's inputs, so they go before the next chunk is drawn
-        if SUITES[suite].chunk_checker:
-            reports += run_trial(config, suite, dim, chunk, inputs=_inputs(
-                list(islice(draws, size)), dim, config.rho_max))
-        else:
-            reports += [run_trial(config, suite, dim, trial, inputs=args) for trial, args in
-                        zip(chunk, _inputs(list(islice(draws, size)), dim, config.rho_max))]
+        reports += run_trial(config, suite, dim, chunk, inputs=_inputs(config, suite, dim, chunk))
     return reports
 
 

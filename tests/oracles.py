@@ -1,12 +1,12 @@
 """Independent oracles for the numerical radius, Herglotz functions, the
-conjugate function, LU solves, Haar sampling and the G1 certificate, used
-only by the tests."""
+conjugate function, LU solves, Haar sampling and the G1 certificate, and
+one trial of any suite's checker, used only by the tests."""
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize_scalar
 
-from g1rad import g1gen, linalg, wradius
+from g1rad import g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import ConfigError, DimensionMismatch, Singular
 
 
@@ -193,3 +193,14 @@ def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:
     for zi, di in zip(z[keep], dist[keep]):
         worst = max(worst, abs(_resolvent_norm(a, zi) * di - 1.0))
     return float(worst)
+
+
+def check_one(suite: str, *args, seed: int = 0):
+    """The report of suite's checker on one trial: args are the trial's
+    inputs, then its variant if the suite has one. A chunked checker
+    (runner.SUITES) takes them as a chunk of one."""
+    row = runner.SUITES[suite]
+    check = getattr(ineq, row.checker)
+    if row.chunked:
+        return check(*([arg] for arg in args), [seed])[0]
+    return check(*args, seed=seed)

@@ -83,7 +83,7 @@ def test_criterion_2_thm22_suite():
              f"A=0 sum saturation ratio {saturation.ratio:.12f}")
 
 
-def _run_variant_suite(name, checker, needs_x, hermitian_x, pair, base_seed):
+def _run_variant_suite(name, needs_x, hermitian_x, pair, base_seed):
     failures = 0
     for variant in runner.SUITES[name].variants:
         for trial in range(200):
@@ -98,25 +98,25 @@ def _run_variant_suite(name, checker, needs_x, hermitian_x, pair, base_seed):
                 x = random_complex(rng, n)
                 args.append(linalg.herm_part(x) if hermitian_x else x)
             args.append(variant)
-            if not checker(*args).passed:
+            if not oracles.check_one(name, *args).passed:
                 failures += 1
     return failures
 
 
 def test_criterion_3_remaining_suites():
     counts = {
-        "cor23": _run_variant_suite("cor23", ineq.check_cor23, False, False, False, 51_000),
-        "thm24": _run_variant_suite("thm24", ineq.check_thm24, True, False, True, 52_000),
-        "rem25": _run_variant_suite("rem25", ineq.check_rem25, True, True, True, 53_000),
-        "cor26": _run_variant_suite("cor26", ineq.check_cor26, False, False, True, 54_000),
-        "rem27": _run_variant_suite("rem27", ineq.check_rem27, True, False, True, 55_000),
+        "cor23": _run_variant_suite("cor23", False, False, False, 51_000),
+        "thm24": _run_variant_suite("thm24", True, False, True, 52_000),
+        "rem25": _run_variant_suite("rem25", True, True, True, 53_000),
+        "cor26": _run_variant_suite("cor26", False, False, True, 54_000),
+        "rem27": _run_variant_suite("rem27", True, False, True, 55_000),
     }
     rng = np.random.default_rng(56_000)
     rejected = False
     try:
-        ineq.check_rem25(funcalc.random_herglotz(56_001, 8),
-                         g1gen.random_g1(56_002, 3, 0.8), g1gen.random_g1(56_003, 3, 0.8),
-                         random_complex(rng, 3), "commutator")
+        oracles.check_one("rem25", funcalc.random_herglotz(56_001, 8),
+                          g1gen.random_g1(56_002, 3, 0.8), g1gen.random_g1(56_003, 3, 0.8),
+                          random_complex(rng, 3), "commutator")
     except NotSelfAdjoint:
         rejected = True
     ok = all(v == 0 for v in counts.values()) and rejected

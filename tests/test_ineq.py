@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import check_one
 from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import NotSelfAdjoint
 from g1rad.funcalc import HerglotzFunction
@@ -254,14 +255,21 @@ def certificate_only(n):
                             certificate=g1gen.certify_core(a, spectrum))
 
 
+def trial_inputs(suite, n, rng, op=None):
+    """One trial's inputs, drawn for suite's row from rng, with each "op" slot
+    filled by op(n), or by the G1 operator of its sub-seed."""
+    config = runner.TrialConfig()
+    args = [runner._DRAWS[kind](rng, n, config) for kind in runner.SUITES[suite].inputs]
+    return [(op(n) if op else g1gen.random_g1(arg, n, config.rho_max)) if kind == "op" else arg
+            for kind, arg in zip(runner.SUITES[suite].inputs, args)]
+
+
 @pytest.mark.parametrize("suite", ["thm22", "cor23", "thm24", "rem25", "cor26", "rem27"])
 def test_checkers_reject_an_operator_without_its_diagonalizer(suite):
     # f(A) goes through apply_normal alone; the contour route is funcalc's, not theirs
-    row = runner.SUITES[suite]
-    head, seeds, tail = row.sample(np.random.default_rng(84), 2, runner.TrialConfig())
-    inputs = head + tuple(certificate_only(2) for _ in seeds) + tail + (row.variants[0],)
+    args = trial_inputs(suite, 2, np.random.default_rng(84), certificate_only)
     with pytest.raises(ValueError, match="riesz_dunford"):
-        getattr(ineq, row.checker)(*inputs)
+        check_one(suite, *args, runner.SUITES[suite].variants[0])
 
 
 def test_thm22_bad_variant():
@@ -274,11 +282,11 @@ def test_thm22_bad_variant():
 
 def test_cor23_zero_operator():
     f = funcalc.random_herglotz(87, 8)
-    report_re = ineq.check_cor23(f, zero_operator(3), "re")
+    report_re = check_one("cor23", f, zero_operator(3), "re")
     assert report_re.passed
     assert report_re.lhs == pytest.approx(1.0, abs=1e-12)
     assert report_re.ratio == pytest.approx(1.0, abs=1e-9)
-    report_im = ineq.check_cor23(f, zero_operator(3), "im")
+    report_im = check_one("cor23", f, zero_operator(3), "im")
     assert report_im.passed
     assert report_im.lhs <= 1e-12
 
@@ -289,7 +297,7 @@ def test_cor23_scalar_saturation():
     op = g1gen.G1Operator(matrix=np.array([[0.5]], dtype=complex),
                           spectrum=np.array([0.5 + 0j]),
                           unitary=np.eye(1, dtype=complex))
-    report = ineq.check_cor23(ATOM_AT_ZERO, op, "re")
+    report = check_one("cor23", ATOM_AT_ZERO, op, "re")
     assert report.passed
     assert report.lhs == pytest.approx(3.0, abs=1e-12)
     assert report.ratio == pytest.approx(1.0, abs=1e-9)
@@ -300,7 +308,7 @@ def test_cor23_random_both_variants():
         op = g1gen.random_g1(88 + n, n, 0.8)
         f = funcalc.random_herglotz(89 + n, 8)
         for variant in ("re", "im"):
-            assert ineq.check_cor23(f, op, variant).passed
+            assert check_one("cor23", f, op, variant).passed
 
 
 # ------------------------------------------------------------ equality cases
@@ -316,7 +324,7 @@ def test_scalar_operator_attains_thm22_sum_and_cor23_re(lam):
     f = HerglotzFunction(np.array([np.angle(lam)]), np.array([1.0]))
     sharp = (1.0 + r) / (1.0 - r)
     for report, lhs in ((ineq.check_thm22(f, op, eye, "sum"), 2.0 * sharp),
-                        (ineq.check_cor23(f, op, "re"), sharp)):
+                        (check_one("cor23", f, op, "re"), sharp)):
         assert report.lhs == pytest.approx(lhs, rel=1e-12)
         assert abs(report.ratio - 1.0) <= 1e-12
 
@@ -370,15 +378,15 @@ def test_rem25_zero_x():
     f = funcalc.random_herglotz(103, 8)
     opa = g1gen.random_g1(104, 3, 0.8)
     opb = g1gen.random_g1(105, 3, 0.8)
-    report = ineq.check_rem25(f, opa, opb, np.zeros((3, 3), dtype=complex), "commutator")
+    report = check_one("rem25", f, opa, opb, np.zeros((3, 3), dtype=complex), "commutator")
     assert report.passed
     assert report.lhs == 0.0
 
 
 def test_rem25_zero_operators_identity_x():
     f = funcalc.random_herglotz(106, 8)
-    report = ineq.check_rem25(f, zero_operator(3), zero_operator(3),
-                              np.eye(3, dtype=complex), "anticommutator2X")
+    report = check_one("rem25", f, zero_operator(3), zero_operator(3),
+                       np.eye(3, dtype=complex), "anticommutator2X")
     assert report.passed
     assert report.lhs == pytest.approx(4.0, abs=1e-12)
     assert report.rhs == pytest.approx(4.0, abs=1e-12)
@@ -391,14 +399,14 @@ def test_rem25_rejects_non_hermitian_x():
     opa = g1gen.random_g1(109, 3, 0.8)
     opb = g1gen.random_g1(110, 3, 0.8)
     with pytest.raises(NotSelfAdjoint):
-        ineq.check_rem25(f, opa, opb, random_complex(rng, 3), "commutator")
+        check_one("rem25", f, opa, opb, random_complex(rng, 3), "commutator")
 
 
 def test_rem25_rejects_nan_x():
     x = np.eye(3, dtype=complex)
     x[0, 1] = np.nan
     with pytest.raises(NotSelfAdjoint):
-        ineq.check_rem25(ATOM_AT_ZERO, zero_operator(3), zero_operator(3), x, "commutator")
+        check_one("rem25", ATOM_AT_ZERO, zero_operator(3), zero_operator(3), x, "commutator")
 
 
 def test_rem25_random_both_variants():
@@ -409,17 +417,17 @@ def test_rem25_random_both_variants():
         f = funcalc.random_herglotz(114 + n, 8)
         x = linalg.herm_part(random_complex(rng, n))
         for variant in ("commutator", "anticommutator2X"):
-            assert ineq.check_rem25(f, opa, opb, x, variant).passed
+            assert check_one("rem25", f, opa, opb, x, variant).passed
 
 
 # ---------------------------------------------------------------- cor26
 
 def test_cor26_zero_operators():
     f = funcalc.random_herglotz(115, 8)
-    report_im = ineq.check_cor26(f, zero_operator(3), zero_operator(3), "im")
+    report_im = check_one("cor26", f, zero_operator(3), zero_operator(3), "im")
     assert report_im.passed
     assert report_im.lhs <= 1e-12
-    report_re = ineq.check_cor26(f, zero_operator(3), zero_operator(3), "re_plus_I")
+    report_re = check_one("cor26", f, zero_operator(3), zero_operator(3), "re_plus_I")
     assert report_re.passed
     assert report_re.lhs == pytest.approx(2.0, abs=1e-12)
     assert report_re.ratio == pytest.approx(1.0, abs=1e-9)
@@ -429,7 +437,7 @@ def test_cor26_real_scalar_product():
     opa = g1gen.G1Operator(matrix=np.array([[0.5]], dtype=complex),
                            spectrum=np.array([0.5 + 0j]),
                            unitary=np.eye(1, dtype=complex))
-    report = ineq.check_cor26(ATOM_AT_ZERO, opa, zero_operator(1), "im")
+    report = check_one("cor26", ATOM_AT_ZERO, opa, zero_operator(1), "im")
     assert report.passed
     assert report.lhs <= 1e-12
 
@@ -440,20 +448,19 @@ def test_cor26_random_both_variants():
         opb = g1gen.random_g1(117 + n, n, 0.8)
         f = funcalc.random_herglotz(118 + n, 8)
         for variant in ("im", "re_plus_I"):
-            assert ineq.check_cor26(f, opa, opb, variant).passed
+            assert check_one("cor26", f, opa, opb, variant).passed
 
 
 # ---------------------------------------------------------------- chunks
 
-CHUNK_SUITES = [s for s, row in runner.SUITES.items() if row.chunk_checker]
+CHUNK_SUITES = [s for s, row in runner.SUITES.items() if row.chunked]
 
 
 def chunk_columns(suite, n, variants):
     """A chunk checker's arguments for len(variants) trials drawn as run_suite
     draws a (suite, n) cell, with the given variants."""
     config = runner.TrialConfig(master_seed=9)
-    draws = [runner._draw(config, suite, n, t) for t in range(len(variants))]
-    inputs = runner._inputs(draws, n, config.rho_max)
+    inputs = runner._inputs(config, suite, n, range(len(variants)))
     return (*zip(*inputs), list(variants), list(range(100, 100 + len(variants))))
 
 
@@ -464,11 +471,10 @@ def test_the_chunk_checkers_are_those_of_the_norm_suites():
 @pytest.mark.parametrize("suite", CHUNK_SUITES)
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_chunk_gives_each_trial_its_report_alone(suite, n):
-    row = runner.SUITES[suite]
-    first, second = row.variants
+    first, second = runner.SUITES[suite].variants
     args = chunk_columns(suite, n, [second, first, first, second, second, first, second])
-    chunk = getattr(ineq, row.chunk_checker)(*args)
-    alone = [getattr(ineq, row.checker)(*trial[:-1], seed=trial[-1]) for trial in zip(*args)]
+    chunk = getattr(ineq, runner.SUITES[suite].checker)(*args)
+    alone = [check_one(suite, *trial[:-1], seed=trial[-1]) for trial in zip(*args)]
     assert [r.name for r in chunk] == [f"{suite}:{v}" for v in args[-2]]
     assert chunk == alone
 
@@ -485,10 +491,11 @@ def test_one_spectral_norm_call_per_operand_and_none_for_a_variant_no_trial_take
 
     monkeypatch.setattr(linalg, "spectral_norm", counting)
     row = runner.SUITES[suite]
-    getattr(ineq, row.chunk_checker)(*chunk_columns(suite, 2, [row.variants[0]] * 6))
+    check = getattr(ineq, row.checker)
+    check(*chunk_columns(suite, 2, [row.variants[0]] * 6))
     assert counted == [6] * calls
     counted.clear()
-    getattr(ineq, row.chunk_checker)(*chunk_columns(suite, 2, row.variants * 3))
+    check(*chunk_columns(suite, 2, row.variants * 3))
     # a second variant adds the operands that differ between the variants
     assert len(counted) == {"cor23": 4, "rem25": 5, "cor26": 3}[suite]
 
@@ -498,7 +505,7 @@ def test_a_chunk_raises_not_self_adjoint_for_its_first_failing_x():
     xs = list(xs)
     xs[2] = xs[2] + 1e-6j * np.eye(3)
     with pytest.raises(NotSelfAdjoint, match="^X must be self-adjoint within tolerance$"):
-        ineq.check_rem25_chunk(fs, opas, opbs, xs, variants, seeds)
+        ineq.check_rem25(fs, opas, opbs, xs, variants, seeds)
 
 
 # ---------------------------------------------------------------- rem27
@@ -537,11 +544,8 @@ def test_rem27_random_both_variants():
 @pytest.mark.parametrize("suite", [s for s, row in runner.SUITES.items()
                                    if len(row.variants) > 1])
 def test_unknown_variant_raises(suite):
-    row, config = runner.SUITES[suite], runner.TrialConfig()
-    (inputs,) = runner._inputs([row.sample(np.random.default_rng(0), 2, config)], 2,
-                               config.rho_max)
     with pytest.raises(ValueError, match="must be"):
-        getattr(ineq, row.checker)(*inputs, "oops")
+        check_one(suite, *trial_inputs(suite, 2, np.random.default_rng(0)), "oops")
 
 
 # ------------------------------------------------------------ report shape

@@ -102,18 +102,19 @@ def test_spectral_norm_homogeneity(scale):
         assert linalg.spectral_norm(mixed).tolist() == [linalg.spectral_norm(m) for m in mixed]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_nan_member_and_a_tiny_member_keep_the_bits_of_one_call_each(n):
-    # the range check is one comparison over the stack: a NaN fails it, like
-    # 2^-300, so the stack takes the scaled route, where a member in range
-    # keeps its bits (at n >= 3, eigvalsh of a NaN matrix raises instead)
-    rng = np.random.default_rng(11)
-    stack = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    stack[1, 0, 0] = np.nan
-    stack[2] *= 2.0**-300
-    singles = np.array([linalg.spectral_norm(m) for m in stack])
-    assert np.isnan(singles[1]) and 0.0 < singles[2] < 2.0**-290
-    assert linalg.spectral_norm(stack).tobytes() == singles.tobytes()
+    # the range check is one comparison over the stack: a NaN or inf fails
+    # it, like 2^-300, so the stack takes the scaled route, where a member in
+    # range keeps its bits and a non-finite member reads NaN at every n
+    for bad in (np.nan, np.inf):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        stack[1, 0, 0] = bad
+        stack[2] *= 2.0**-300
+        singles = np.array([linalg.spectral_norm(m) for m in stack])
+        assert np.isnan(singles[1]) and 0.0 < singles[2] < 2.0**-290
+        assert linalg.spectral_norm(stack).tobytes() == singles.tobytes()
 
 
 def test_spectral_norm_of_subnormal_and_huge_entries():

@@ -56,7 +56,9 @@ def test_trials_run_serially_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(runner, "run_trial", recording)
     monkeypatch.setenv("WRAD_THREADS", "3")
     three = runner.run_suite(cfg)
-    assert threads == [threading.get_ident()] * 16
+    # one call per chunk: lemma21a draws no operator, so 8 chunks of one
+    # trial; thm22's four trials at n = 2 or 3 fit one chunk per dim
+    assert threads == [threading.get_ident()] * 10
     assert (runner.render_report(one.suites, one.details, "json", cfg)
             == runner.render_report(three.suites, three.details, "json", cfg))
 
@@ -108,14 +110,14 @@ def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim
     sizes = []
     inputs = runner._inputs
 
-    def recording(draws, n, rho_max):
-        sizes.append(len(draws))
-        return inputs(draws, n, rho_max)
+    def recording(*args):  # (config, suite, dim, trials)
+        sizes.append(len(args[-1]))
+        return inputs(*args)
 
     monkeypatch.setattr(runner, "_inputs", recording)
     row = runner.SUITES[suite]
-    if row.chunk_checker:  # one call per chunk, whose last argument is the seeds
-        monkeypatch.setattr(ineq, row.chunk_checker, lambda *args: list(args[-1]))
+    if row.chunked:  # one call per chunk, whose last argument is the seeds
+        monkeypatch.setattr(ineq, row.checker, lambda *args: list(args[-1]))
     else:
         monkeypatch.setattr(ineq, row.checker, lambda *args, seed: seed)
     cfg = runner.TrialConfig(dims=(dim,), trials_per_suite=trials, suites=(suite,))
@@ -143,15 +145,21 @@ def bits(report) -> tuple:
 
 @pytest.mark.parametrize("budget", [1, 100 << 10, 1 << 40], ids=["1B", "100KiB", "1TiB"])
 def test_chunked_norm_suites_give_each_trial_the_bits_of_run_trial(monkeypatch, budget):
-    # at n = 1 a product over a whole stack rounds otherwise than one per
-    # operator; at n = 16 and 100 KiB, cor23 runs chunks of 12, rem25 and cor26 of 6
-    config = runner.TrialConfig(master_seed=23, dims=(1, 2, 3, 5, 8, 16), trials_per_suite=13,
-                                suites=("cor23", "rem25", "cor26"))
+    # every chunk of every suite goes through run_trial's range form. At
+    # n = 1 a product over a whole stack rounds otherwise than one per
+    # operator; at n = 16 and 100 KiB, cor23 runs chunks of 12, rem25 and
+    # cor26 of 6. The w() suites run fewer trials, at n = 1-3.
     monkeypatch.setattr(runner, "_CELL_BYTES", budget)
-    batch = runner.run_suite(config).details
-    alone = [runner.run_trial(config, suite, dim, trial)
-             for suite in config.suites for dim in config.dims for trial in range(13)]
-    assert list(map(bits, batch)) == list(map(bits, alone))
+    norm = ("cor23", "rem25", "cor26")
+    for config in (
+            runner.TrialConfig(master_seed=23, dims=(1, 2, 3, 5, 8, 16), trials_per_suite=13,
+                               suites=norm),
+            runner.TrialConfig(master_seed=23, dims=(1, 2, 3), trials_per_suite=5,
+                               suites=tuple(s for s in runner.ALL_SUITES if s not in norm))):
+        batch = runner.run_suite(config).details
+        alone = [runner.run_trial(config, suite, dim, trial) for suite in config.suites
+                 for dim in config.dims for trial in range(config.trials_per_suite)]
+        assert list(map(bits, batch)) == list(map(bits, alone))
 
 
 def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch):
@@ -173,7 +181,7 @@ def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
     # unitaries, more than the budget, so the cell runs a trial a chunk. With
     # the temporaries of building and checking them it peaks at about 9 such
     # chunks; the cell's 400 operators built as one stack took 300 MB.
-    monkeypatch.setattr(ineq, "check_rem25_chunk", lambda *args: [
+    monkeypatch.setattr(ineq, "check_rem25", lambda *args: [
         ineq._report("rem25", 0.0, 1.0, seed, 64) for seed in args[-1]])
     config = runner.TrialConfig(master_seed=1, dims=(64,), trials_per_suite=200,
                                 suites=("rem25",))
