@@ -4,7 +4,9 @@ A function here is a discrete probability measure on the circle,
 
     f(z) = sum_j w_j (e^{i a_j} + z) / (e^{i a_j} - z),
 
-which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Matrix arguments
+which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Random functions
+are drawn a stack at a time (random_herglotz_stack), each from its own
+seed's stream, and checked once over the stack. Matrix arguments
 are handled by two independent routes, both on a checked G1Operator:
 unitary diagonalization of one that carries its diagonalizer, over a
 stack of (function, operator) pairs at a time (apply_normal_stack), and
@@ -20,19 +22,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import g1gen, linalg
 from .g1gen import G1Operator
 
 WEIGHT_SUM_TOL = 1e-14
 TWO_PI = 2.0 * np.pi
 
 
+def _check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
+    """HerglotzFunction's checks on (k, atoms) stacks of angles and weights.
+
+    Every check is written as "not (value within bounds)", so a NaN angle or
+    weight fails it. The first member that fails a check raises the first
+    check it fails, with HerglotzFunction's message for it alone.
+    """
+    if angles.shape[-1] < 1 or angles.shape != weights.shape:
+        raise ValueError("need k >= 1 atoms with matching angle/weight lists")
+    g1gen._raise_first_failure([
+        ((angles.min(axis=-1) >= 0.0) & (angles.max(axis=-1) < TWO_PI), ValueError,
+         "angles must lie in [0, 2pi)"),
+        (weights.min(axis=-1) >= 0.0, ValueError, "weights must be nonnegative"),
+        (abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_SUM_TOL, ValueError,
+         "weights must sum to 1"),
+    ])
+
+
 @dataclass(frozen=True)
 class HerglotzFunction:
     """Atomic boundary measure: angles in [0, 2pi) and weights summing to 1.
 
-    Every check is written as "not (value within bounds)", so a NaN angle or
-    weight fails it. The atoms e^{i a_j} are computed once, here.
+    The checks are _check_atoms' on a stack of one, the same code that checks
+    random_herglotz_stack's stacks. The atoms e^{i a_j} are computed once, here.
     """
 
     angles: np.ndarray
@@ -42,17 +62,8 @@ class HerglotzFunction:
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=np.float64).ravel()
         weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        if angles.size < 1 or angles.shape != weights.shape:
-            raise ValueError("need k >= 1 atoms with matching angle/weight lists")
-        if not (angles.min() >= 0.0 and angles.max() < TWO_PI):
-            raise ValueError("angles must lie in [0, 2pi)")
-        if not (weights.min() >= 0.0):
-            raise ValueError("weights must be nonnegative")
-        if not (abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "phases", np.exp(1j * angles))
+        _check_atoms(angles[None], weights[None])
+        vars(self).update(angles=angles, weights=weights, phases=np.exp(1j * angles))
 
 
 def _kernel_sum(weights: np.ndarray, phases: np.ndarray, z):
@@ -62,13 +73,35 @@ def _kernel_sum(weights: np.ndarray, phases: np.ndarray, z):
     return np.sum(weights * (phases + z) / (phases - z), axis=-1)
 
 
+def random_herglotz_stack(seeds, atoms: int) -> list[HerglotzFunction]:
+    """One seed-deterministic function per seed, drawn and checked as one stack.
+
+    Each function draws from its own stream, that of
+    np.random.default_rng(seed) (g1gen.generators): its angles, uniform on
+    [0, 2pi), then its weights, uniform on [0, 1). Each row of weights is
+    then divided by its sum, _check_atoms checks the stack and one np.exp
+    gives every phase. A row's sum along the last axis is the 1-d sum of the
+    row, so each function gets the bits that a stack of its seed alone gives
+    it (random_herglotz); it holds views of the stack's arrays.
+    """
+    angles = np.empty((len(seeds), atoms))
+    weights = np.empty((len(seeds), atoms))
+    for rng, a, w in zip(g1gen.generators(seeds), angles, weights):
+        a[:] = rng.uniform(0.0, TWO_PI, size=atoms)
+        w[:] = rng.uniform(size=atoms)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    _check_atoms(angles, weights)
+    fs = []
+    for fields in zip(angles, weights, np.exp(1j * angles)):
+        f = object.__new__(HerglotzFunction)  # checked above, by _check_atoms
+        vars(f).update(zip(("angles", "weights", "phases"), fields))
+        fs.append(f)
+    return fs
+
+
 def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
     """Draw angles uniformly on [0, 2pi) and normalized positive weights."""
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, TWO_PI, size=atoms)
-    weights = rng.uniform(size=atoms)
-    weights /= weights.sum()
-    return HerglotzFunction(angles, weights)
+    return random_herglotz_stack((seed,), atoms)[0]
 
 
 def apply_normal_stack(fs, ops) -> np.ndarray:

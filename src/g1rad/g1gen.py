@@ -5,9 +5,12 @@ its spectrum. Normal matrices satisfy this exactly, so the generated
 population is normal by construction: Haar unitary conjugations of spectra
 drawn uniformly inside a disk of radius rho_max < 1. They are built a stack
 at a time (random_g1_stack): each operator draws its spectrum and its
-Ginibre matrix from its own generator, then one QR, one reconstruction U
-diag(lambda) U* and one run of _validate cover the stack, and every
+Ginibre matrix from its own seed's stream, then one QR, one reconstruction
+U diag(lambda) U* and one run of _validate cover the stack, and every
 operator keeps the bits it has alone (random_g1 is a stack of one).
+generators gives every stream that sampling draws, the trials' and the
+functions' too, with the bits of np.random.default_rng(seed), seeding a
+long list of seeds in one vectorized pass of numpy's SeedSequence hash.
 _validate holds G1Operator's checks, over a stack; G1Operator runs it on a
 stack of one, so generated and loaded operators pass the same code.
 Externally supplied candidates are admitted only through the numerical
@@ -163,20 +166,108 @@ class G1Operator:
         return int(self.matrix.shape[0])
 
 
-def _haar_unitaries(rngs, n: int) -> np.ndarray:
-    """One Haar-distributed n x n unitary per generator, as a (k, n, n) stack.
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants: the hash
+# multipliers of the pool and of generate_state, the pool's mix, and PCG64's
+# 128-bit LCG multiplier (M. O'Neill, PCG, HMC-CS-2014-0905).
+_MULT_A, _MULT_B = 0x931E8875, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_OTHER_WORDS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
-    Each generator draws one Ginibre matrix Z (real parts, then imaginary
-    parts, of standard complex Gaussian entries). One np.linalg.qr call
-    factors the stack, and each Q has its columns' phases fixed by diag(R)
-    (F. Mezzadri, Notices AMS 54, 2007). np.linalg.qr runs LAPACK geqrf and
-    ungqr from numpy's own LAPACK on each matrix, so sampling loads no second
-    one; the tests hold each unitary to the bits of scipy's geqrf/ungqr on
-    its own Z.
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constants of count successive hashmix calls, and the one after."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# mix_entropy makes 16 hashmix calls (4 to fill the pool, 3 per pool word to
+# mix it into the others) and generate_state(4, uint64) hashes 8 words
+_HASH_A = _hash_constants(0x43B0D7E5, _MULT_A, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, _MULT_B, 8)
+# Seeding with one draw, timeit on a 2-vCPU x86-64 host, numpy 2.4: the
+# kernel costs about 45-75 us a call plus 2-2.5 us a seed, default_rng about
+# 9 us a seed, so the kernel pays from about 8 seeds (69 against 62 us at 8,
+# 68 against 84 at 10). 12 keeps a margin for the slower fixed cost; below it
+# a list of seeds goes through default_rng.
+_KERNEL_SEEDS = 12
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of value with its row of consts,
+    a (rows + 1, 1) slice of _HASH_A or _HASH_B: xor, multiply, xorshift."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _pcg64_states(seeds) -> list:
+    """The PCG64 (state, inc) of np.random.default_rng(seed) for each seed.
+
+    SeedSequence hashes each seed's two 32-bit words (low first; a seed below
+    2^32 hashes the same with its zero high word) into a pool of 4 words, as
+    uint32 arrays over all the seeds at once. In the mixing step each source
+    word's three mixes into the other pool words are independent, so they run
+    as one (3, k) step. generate_state(4, uint64) hashes 8 words; PCG64 takes
+    the first two uint64 as its initial state and the last two as its stream.
     """
-    normals = np.empty((len(rngs), 2, n, n))
-    for rng, out in zip(rngs, normals):
-        rng.standard_normal(out=out)
+    words = np.array(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, words.size), dtype=np.uint32)
+    entropy[0] = words & 0xFFFFFFFF
+    entropy[1] = words >> 32
+    pool = _hashmix(entropy, _HASH_A[:5])
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src])
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    state = (state[0::2] | state[1::2] << 32).tolist()  # 4 little-endian uint64 words
+    states = []
+    for high, low, seq_high, seq_low in zip(*state):
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        states.append(((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def generators(seeds):
+    """Yield one np.random.Generator per seed, with the stream of
+    np.random.default_rng(seed); seeds are ints in [0, 2^64).
+
+    From _KERNEL_SEEDS seeds on, one Generator, made for the call, is
+    re-seeded in place for each seed (through bit_generator.state) from
+    _pcg64_states, so each yielded Generator must be used up before the next
+    is taken. Fewer seeds take one default_rng call each. No state outlives
+    a call, so calls on different threads are independent. numpy's random
+    compatibility policy (NEP 19) keeps SeedSequence and PCG64 seeding fixed
+    across releases; the tests check the streams against default_rng bit for
+    bit, the buffered 32-bit word included.
+    """
+    if len(seeds) < _KERNEL_SEEDS:
+        yield from map(np.random.default_rng, seeds)
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for state, inc in _pcg64_states(seeds):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """One Haar-distributed n x n unitary per Ginibre matrix of a
+    (k, 2, n, n) block of standard normals, as a (k, n, n) stack.
+
+    Each block member holds the real parts, then the imaginary parts, of its
+    Ginibre matrix Z's standard complex Gaussian entries. One np.linalg.qr
+    call factors the stack, and each Q has its columns' phases fixed by
+    diag(R) (F. Mezzadri, Notices AMS 54, 2007). np.linalg.qr runs LAPACK
+    geqrf and ungqr from numpy's own LAPACK on each matrix, so sampling loads
+    no second one; the tests hold each unitary to the bits of scipy's
+    geqrf/ungqr on its own Z.
+    """
     q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0))
     diag = r.diagonal(axis1=-2, axis2=-1)
     size = np.abs(diag)
@@ -189,9 +280,9 @@ def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     while out.size < k:
         pts = rng.uniform(-1.0, 1.0, size=(max(2 * (k - out.size), 8), 2))
         x, y = pts.T
-        keep = x ** 2 + y ** 2 <= 1.0
         # each row (x, y) read as the complex x + iy: the same doubles, no arithmetic
-        out = np.concatenate((out, pts.view(np.complex128)[keep, 0]))
+        kept = pts.view(np.complex128)[x ** 2 + y ** 2 <= 1.0, 0]
+        out = np.concatenate((out, kept)) if out.size else kept
     return out[:k]
 
 
@@ -199,8 +290,10 @@ def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
     """One seed-deterministic normal operator per seed, with spectrum in the
     disk of radius rho_max, built and checked as one stack.
 
-    Each operator draws from its own np.random.default_rng(seed): its
-    spectrum, then its Ginibre matrix (_haar_unitaries). The QR, the phase fix,
+    Each operator draws from its own stream, that of
+    np.random.default_rng(seed) (generators): its spectrum's rejection draws
+    (_uniform_disk), then its Ginibre matrix's normals into its member of one
+    (k, 2, n, n) block. The QR (_haar_unitaries), the phase fix,
     the products U diag(lambda) U* (linalg.diag_similarity) and _validate's
     checks then run once over the stack. Each operator gets the bits that a
     stack of its seed alone gives it (random_g1), which the tests check over
@@ -212,9 +305,13 @@ def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
         raise ConfigError("dimension must be positive")
     if not len(seeds):
         return []
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    spectra = rho_max * np.array([_uniform_disk(rng, n) for rng in rngs])
-    unitaries = _haar_unitaries(rngs, n)
+    spectra = np.empty((len(seeds), n), dtype=np.complex128)
+    normals = np.empty((len(seeds), 2, n, n))
+    for rng, spectrum, out in zip(generators(seeds), spectra, normals):
+        spectrum[:] = _uniform_disk(rng, n)
+        rng.standard_normal(out=out)
+    spectra *= rho_max
+    unitaries = _haar_unitaries(normals)
     matrices = linalg.diag_similarity(unitaries, spectra)
     d = _validate(matrices, spectra, unitaries).tolist()
     ops = []

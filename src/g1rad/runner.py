@@ -5,9 +5,11 @@ Every trial derives its RNG stream from a SHA-256 hash of
 without rerunning the batch. A SUITES row names its ineq checker, its
 variants and the kinds of its checker's inputs, which a trial draws in that
 order. run_suite runs each (suite, dim) cell in chunks of consecutive trials
-(_run_cell), one run_trial call per chunk; g1gen builds and checks a chunk's
-G1 operators, at most _CELL_BYTES of them, as one stack. An operator has the
-same bits in any chunk, so run_trial alone replays any trial exactly.
+(_run_cell), one run_trial call per chunk. g1gen.generators seeds a chunk's
+trial streams, and funcalc and g1gen build and check its functions and its
+G1 operators, at most _CELL_BYTES of each, as one stack each. Every stream
+is that of default_rng(seed), and every function and operator has the same
+bits in any chunk, so run_trial alone replays any trial exactly.
 
 The split between chunks and trials is deliberate. The rows that take no
 w() (cor23, rem25 and cor26) are chunked: their checker takes a whole chunk
@@ -37,7 +39,8 @@ from .g1gen import G1Operator
 from .ineq import InequalityReport
 
 # Bytes of matrices and unitaries that one chunk of a cell's G1 operators
-# holds, unless one trial alone holds more.
+# holds, and bytes of atoms and kernel sums that its functions hold, unless
+# one trial alone holds more.
 _CELL_BYTES = 64 << 10
 
 
@@ -49,14 +52,15 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 1 << 62))
 
 
-# Each kind of checker input, as drawn from a trial's generator. An "op" is
-# drawn as the sub-seed of its G1 operator, which _inputs builds with its chunk.
+# Each kind of checker input, as drawn from a trial's generator. An "f" and
+# an "op" are drawn as the sub-seeds of their function and G1 operator, which
+# _inputs builds with their chunk.
 _DRAWS = {
-    "ginibre": lambda rng, dim, config: _ginibre(rng, dim),
-    "hermitian": lambda rng, dim, config: linalg.herm_part(_ginibre(rng, dim)),
-    "angle": lambda rng, dim, config: float(rng.uniform(0.0, 2.0 * np.pi)),
-    "f": lambda rng, dim, config: funcalc.random_herglotz(_sub_seed(rng), config.atoms),
-    "op": lambda rng, dim, config: _sub_seed(rng),
+    "ginibre": _ginibre,
+    "hermitian": lambda rng, dim: linalg.herm_part(_ginibre(rng, dim)),
+    "angle": lambda rng, dim: float(rng.uniform(0.0, 2.0 * np.pi)),
+    "f": lambda rng, dim: _sub_seed(rng),
+    "op": lambda rng, dim: _sub_seed(rng),
 }
 
 
@@ -186,27 +190,31 @@ def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
 
-def _inputs(config: TrialConfig, suite: str, dim: int, trials: range) -> list:
-    """Each trial's checker inputs, drawn from its derived seed, with the G1
-    operators of all the trials built and checked as one stack."""
+def _inputs(config: TrialConfig, suite: str, dim: int, seeds: list) -> list:
+    """The checker inputs of the trials with these derived seeds, each drawn
+    from its seed's stream (g1gen.generators), with the functions and the G1
+    operators of all the trials built and checked as one stack each."""
     kinds = SUITES[suite].inputs
-    inputs = []
-    for trial in trials:
-        rng = np.random.default_rng(trial_seed(config.master_seed, suite, dim, trial))
-        inputs.append([_DRAWS[kind](rng, dim, config) for kind in kinds])
-    slots = [i for i, kind in enumerate(kinds) if kind == "op"]
-    ops = iter(g1gen.random_g1_stack([args[i] for args in inputs for i in slots],
-                                     dim, config.rho_max))
-    for args in inputs:
-        for i in slots:
-            args[i] = next(ops)
+    inputs = [[_DRAWS[kind](rng, dim) for kind in kinds] for rng in g1gen.generators(seeds)]
+    for kind, build in (
+            ("f", lambda subs: funcalc.random_herglotz_stack(subs, config.atoms)),
+            ("op", lambda subs: g1gen.random_g1_stack(subs, dim, config.rho_max))):
+        slots = [i for i, k in enumerate(kinds) if k == kind]
+        if not slots:
+            continue
+        built = iter(build([args[i] for args in inputs for i in slots]))
+        for args in inputs:
+            for i in slots:
+                args[i] = next(built)
     return inputs
 
 
 def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
-              inputs: list | None = None) -> InequalityReport | list:
+              seeds: list | None = None, inputs: list | None = None
+              ) -> InequalityReport | list:
     """The report of one trial, drawn from its derived seed; or, for a range
-    of consecutive trials and the list of their inputs, their reports.
+    of consecutive trials, their reports. A range may come with the list of
+    its trials' seeds, and with their inputs drawn from those seeds.
 
     Multi-variant suites rotate their variants with the trial index. A
     chunked row's checker takes the range in one call; any other checker is
@@ -217,10 +225,11 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
         raise ConfigError(f"unknown suite {suite!r}")
     row = SUITES[suite]
     trials = trial if isinstance(trial, range) else range(trial, trial + 1)
+    if seeds is None:
+        seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
     if inputs is None:
-        inputs = _inputs(config, suite, dim, trials)
+        inputs = _inputs(config, suite, dim, seeds)
     variants = [row.variants[t % len(row.variants)] for t in trials]
-    seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
     check = getattr(ineq, row.checker)
     if row.chunked:
         reports = check(*zip(*inputs), variants, seeds)
@@ -230,21 +239,32 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
     return reports if trials is trial else reports[0]
 
 
+def _chunk_size(config: TrialConfig, suite: str, dim: int) -> int:
+    """Trials per chunk of a (suite, dim) cell: as many as keep their G1
+    operators' matrices and unitaries (32 n^2 bytes an operator) and their
+    functions within _CELL_BYTES each, and at least one. A function takes 16
+    bytes an atom for its angles and weights, 16 for its phases and 16 n for
+    its kernel sums at an operator's n eigenvalues. A suite that draws
+    neither runs a trial a chunk."""
+    kinds = SUITES[suite].inputs
+    caps = [_CELL_BYTES // (32 * dim * dim * kinds.count("op"))] if "op" in kinds else []
+    if "f" in kinds:
+        caps.append(_CELL_BYTES // (16 * config.atoms * (dim + 2)))
+    return max(1, min(caps, default=1))
+
+
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
     """The reports of every trial of a (suite, dim) cell, one run_trial call
-    per chunk of consecutive trials.
-
-    A chunk is as many trials as keep their G1 operators' matrices and
-    unitaries within _CELL_BYTES, and at least one; a suite that draws no
-    operator runs a trial a chunk. Only one chunk's inputs are held.
-    """
-    ops = SUITES[suite].inputs.count("op")
-    size = max(1, _CELL_BYTES // (32 * dim * dim * ops)) if ops else 1  # a matrix and unitary each
+    per chunk of consecutive trials (_chunk_size). Each trial's seed is hashed
+    once, for its inputs and its report. Only one chunk's inputs are held."""
+    size = _chunk_size(config, suite, dim)
     trials, reports = range(config.trials_per_suite), []
     for start in range(0, len(trials), size):
         chunk = trials[start:start + size]
+        seeds = [trial_seed(config.master_seed, suite, dim, t) for t in chunk]
         # no name holds a chunk's inputs, so they go before the next chunk is drawn
-        reports += run_trial(config, suite, dim, chunk, inputs=_inputs(config, suite, dim, chunk))
+        reports += run_trial(config, suite, dim, chunk, seeds=seeds,
+                             inputs=_inputs(config, suite, dim, seeds))
     return reports
 
 

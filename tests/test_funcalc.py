@@ -116,6 +116,77 @@ def test_random_herglotz_draws_are_pinned(atoms):
     assert digest.hexdigest() == RANDOM_HERGLOTZ_SHA256[atoms]
 
 
+KERNEL = g1gen._KERNEL_SEEDS
+
+
+def herglotz_one(seed, atoms):
+    """random_herglotz's atoms drawn from default_rng(seed): its angles, then
+    its weights, each row normalized by its 1-d sum."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, funcalc.TWO_PI, size=atoms)
+    weights = rng.uniform(size=atoms)
+    weights /= weights.sum()
+    return angles, weights, np.exp(1j * angles)
+
+
+def hexes(angles, weights, phases):
+    return [list(map(float.hex, a.tolist()))
+            for a in (angles, weights, phases.real, phases.imag)]
+
+
+@pytest.mark.parametrize("atoms", [1, 8, 13])
+@pytest.mark.parametrize("k", [1, KERNEL - 1, KERNEL, 50])
+def test_random_herglotz_stack_gives_each_seed_its_function_alone(k, atoms):
+    seeds = [7919 * i + atoms for i in range(k)]
+    stack = funcalc.random_herglotz_stack(seeds, atoms)
+    assert len(stack) == k
+    for seed, f in zip(seeds, stack):
+        alone = funcalc.random_herglotz(seed, atoms)
+        assert hexes(f.angles, f.weights, f.phases) == hexes(
+            alone.angles, alone.weights, alone.phases) == hexes(*herglotz_one(seed, atoms))
+
+
+class FixedDraws:
+    """A stand-in generator whose uniform draws are the given rows, in turn."""
+
+    def __init__(self, *rows):
+        self.rows = iter(rows)
+
+    def uniform(self, *args, size):
+        return np.array(next(self.rows), dtype=float)
+
+
+BAD_MEMBERS = [  # (angles, weights) of a bad member, before normalization
+    ([funcalc.TWO_PI, 1.0], [0.5, 0.5]),
+    ([np.nan, 1.0], [0.5, 0.5]),
+    ([0.5, 1.0], [-0.5, 1.5]),
+    ([0.5, 1.0], [np.nan, 0.5]),
+    ([0.5, 1.0], [1e308, 1e308]),  # an infinite sum: every weight becomes 0
+]
+
+
+@pytest.mark.parametrize("angles, weights", BAD_MEMBERS)
+def test_random_herglotz_stack_raises_what_its_first_bad_member_raises_alone(
+        monkeypatch, angles, weights):
+    good = ([0.5, 1.0], [0.25, 0.75])
+    rows = [good, (angles, weights), ([7.0, 1.0], [0.5, 0.5]), good]
+    monkeypatch.setattr(g1gen, "generators",
+                        lambda seeds: (FixedDraws(*row) for row in rows))
+    with np.errstate(all="ignore"):
+        w = np.array(weights) / np.sum(weights)
+    with pytest.raises(ValueError) as alone:
+        HerglotzFunction(angles, w)
+    with pytest.raises(ValueError) as stacked, np.errstate(all="ignore"):
+        funcalc.random_herglotz_stack(range(len(rows)), 2)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_random_herglotz_stack_needs_an_atom():
+    with pytest.raises(ValueError, match="need k >= 1 atoms"):
+        funcalc.random_herglotz_stack([1, 2], 0)
+    assert funcalc.random_herglotz_stack([], 8) == []
+
+
 def test_cached_phases_are_the_atoms():
     f = funcalc.random_herglotz(44, 5)
     assert f.phases.tobytes() == np.exp(1j * f.angles).tobytes()

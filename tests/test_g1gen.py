@@ -135,21 +135,83 @@ def test_random_g1_rejects_bad_rho():
         g1gen.random_g1(seed=0, n=2, rho_max=0.0)
 
 
+# ---------------------------------------------------------------- streams
+
+EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**62 - 1, 2**63, 2**64 - 1]
+KERNEL = g1gen._KERNEL_SEEDS
+
+
+def stream_bits(rng) -> list:
+    """A generator's state and one draw of each kind that sampling takes from
+    it, the buffered 32-bit word included, as exact values."""
+    state = rng.bit_generator.state
+    out = np.empty((2, 2, 2))
+    rng.standard_normal(out=out)
+    draws = [rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(0.0, 2.0 * np.pi, size=3),
+             rng.uniform(size=3), np.float64(rng.uniform(0.0, 2.0 * np.pi)),
+             rng.standard_normal((2, 2)), out]
+    ints = [int(rng.integers(0, 1 << 62)), int(rng.integers(0, 1 << 32, dtype=np.uint32)),
+            int(rng.integers(0, 1 << 32, dtype=np.uint32))]
+    return [state, ints, *(np.asarray(d).tobytes() for d in draws)]
+
+
+@pytest.mark.parametrize("k", [1, KERNEL - 1, KERNEL, 50])
+def test_generators_give_the_streams_of_default_rng(k):
+    seeds = EDGE_SEEDS + [int(s) for s in np.random.default_rng(2024).integers(
+        0, 2**64, size=2000, dtype=np.uint64)] + [int(s) for s in range(100)]
+    for start in range(0, len(seeds), k):
+        chunk = seeds[start:start + k]
+        got = [stream_bits(rng) for rng in g1gen.generators(chunk)]
+        assert got == [stream_bits(np.random.default_rng(seed)) for seed in chunk]
+
+
+def test_interleaved_generators_keep_their_own_streams():
+    # no state outlives or is shared between calls: two lists drawn in turn
+    first, second = list(range(10, 10 + KERNEL)), list(range(50, 50 + KERNEL))
+    got = [(stream_bits(a), stream_bits(b))
+           for a, b in zip(g1gen.generators(first), g1gen.generators(second))]
+    assert got == [(stream_bits(np.random.default_rng(a)), stream_bits(np.random.default_rng(b)))
+                   for a, b in zip(first, second)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generators_reject_a_seed_outside_64_bits(seed):
+    with pytest.raises(OverflowError):
+        list(g1gen.generators([seed] * KERNEL))
+
+
+def test_uniform_disk_keeps_the_draws_of_concatenating_from_empty():
+    # the first round's points are kept as drawn; later rounds append to them
+    for seed in range(40):
+        for k in (1, 2, 5, 9):
+            rng = np.random.default_rng(seed)
+            out = np.empty(0, dtype=np.complex128)
+            while out.size < k:
+                pts = rng.uniform(-1.0, 1.0, size=(max(2 * (k - out.size), 8), 2))
+                keep = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0
+                out = np.concatenate((out, pts[keep, 0] + 1j * pts[keep, 1]))
+            expected = (out[:k].tobytes(), rng.bit_generator.state)
+            rng = np.random.default_rng(seed)
+            assert (g1gen._uniform_disk(rng, k).tobytes(), rng.bit_generator.state) == expected
+
+
 def test_haar_unitarity():
     rng = np.random.default_rng(51)
     for n in (2, 4, 8, 16):
-        u = g1gen._haar_unitaries([rng], n)[0]
+        u = g1gen._haar_unitaries(rng.standard_normal((1, 2, n, n)))[0]
         assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_haar_unitary_matches_numpy_qr_bit_for_bit(n):
     expected = [oracles.haar_unitary_qr(np.random.default_rng(seed), n) for seed in range(10)]
+    # each seed's Ginibre block: its real parts, then its imaginary parts
+    normals = [np.random.default_rng(seed).standard_normal((1, 2, n, n)) for seed in range(10)]
     for seed in range(10):
-        u = g1gen._haar_unitaries([np.random.default_rng(seed)], n)[0]
+        u = g1gen._haar_unitaries(normals[seed])[0]
         assert u.tobytes() == expected[seed].tobytes()
     # one QR of the stack of all ten gives each unitary the same bits
-    stack = g1gen._haar_unitaries([np.random.default_rng(seed) for seed in range(10)], n)
+    stack = g1gen._haar_unitaries(np.concatenate(normals))
     assert [u.tobytes() for u in stack] == [u.tobytes() for u in expected]
 
 
@@ -169,8 +231,10 @@ def test_random_g1_matches_the_one_operator_oracle(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-@pytest.mark.parametrize("size", [1, 2, 7, 100])
+@pytest.mark.parametrize("size", [1, 2, 7, KERNEL - 1, KERNEL, 100])
 def test_random_g1_stack_has_the_bits_of_one_call_per_seed(n, size):
+    # random_g1 draws its stream from default_rng; from KERNEL seeds on the
+    # stack draws them from the hashing kernel of g1gen.generators
     seeds = [1000 * n + 37 * i for i in range(size)]
     ops = g1gen.random_g1_stack(seeds, n, 0.7)
     assert len(ops) == size

@@ -256,12 +256,15 @@ def certificate_only(n):
 
 
 def trial_inputs(suite, n, rng, op=None):
-    """One trial's inputs, drawn for suite's row from rng, with each "op" slot
-    filled by op(n), or by the G1 operator of its sub-seed."""
+    """One trial's inputs, drawn for suite's row from rng, with each "f" slot
+    filled by the function of its sub-seed and each "op" slot by op(n), or by
+    the G1 operator of its sub-seed."""
     config = runner.TrialConfig()
-    args = [runner._DRAWS[kind](rng, n, config) for kind in runner.SUITES[suite].inputs]
-    return [(op(n) if op else g1gen.random_g1(arg, n, config.rho_max)) if kind == "op" else arg
-            for kind, arg in zip(runner.SUITES[suite].inputs, args)]
+    kinds = runner.SUITES[suite].inputs
+    args = [runner._DRAWS[kind](rng, n) for kind in kinds]
+    build = {"f": lambda seed: funcalc.random_herglotz(seed, config.atoms),
+             "op": lambda seed: op(n) if op else g1gen.random_g1(seed, n, config.rho_max)}
+    return [build[kind](arg) if kind in build else arg for kind, arg in zip(kinds, args)]
 
 
 @pytest.mark.parametrize("suite", ["thm22", "cor23", "thm24", "rem25", "cor26", "rem27"])
@@ -460,7 +463,8 @@ def chunk_columns(suite, n, variants):
     """A chunk checker's arguments for len(variants) trials drawn as run_suite
     draws a (suite, n) cell, with the given variants."""
     config = runner.TrialConfig(master_seed=9)
-    inputs = runner._inputs(config, suite, n, range(len(variants)))
+    seeds = [runner.trial_seed(9, suite, n, t) for t in range(len(variants))]
+    inputs = runner._inputs(config, suite, n, seeds)
     return (*zip(*inputs), list(variants), list(range(100, 100 + len(variants))))
 
 

@@ -126,6 +126,30 @@ def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim
     assert seeds == [runner.trial_seed(cfg.master_seed, suite, dim, t) for t in range(trials)]
 
 
+@pytest.mark.parametrize("suite, dim, atoms, size", [
+    ("cor23", 2, 20_000, 1),  # one trial's function alone is past the budget
+    ("cor23", 2, 8, 128),  # the functions' cap, under the operators' 512
+    ("cor23", 8, 8, 32),  # the operators' cap, under the functions' 51
+    ("rem25", 8, 8, 16),
+    ("thm22", 4, 100, 6),
+    ("lemma21a", 2, 20_000, 1),  # no operators and no functions: a trial a chunk
+])
+def test_a_chunk_keeps_its_functions_within_the_budget(suite, dim, atoms, size):
+    # a function's chunk bytes grow with its atoms: 16 atoms (n + 2) a trial
+    config = runner.TrialConfig(dims=(dim,), atoms=atoms, suites=(suite,))
+    assert runner._chunk_size(config, suite, dim) == size
+
+
+def test_a_batch_hashes_each_trials_seed_once(monkeypatch):
+    calls = []
+    trial_seed = runner.trial_seed
+    monkeypatch.setattr(runner, "trial_seed", lambda *args: calls.append(args) or trial_seed(*args))
+    config = runner.TrialConfig(master_seed=3, dims=(2, 3), trials_per_suite=4,
+                                suites=("lemma21a", "thm22", "cor23", "rem25"))
+    runner.run_suite(config)
+    assert len(calls) == len(set(calls)) == 2 * 4 * 4
+
+
 def test_the_chunk_budget_does_not_change_the_report(monkeypatch):
     def report():
         result = runner.run_suite(CHUNKED)
@@ -160,6 +184,21 @@ def test_chunked_norm_suites_give_each_trial_the_bits_of_run_trial(monkeypatch, 
         alone = [runner.run_trial(config, suite, dim, trial) for suite in config.suites
                  for dim in config.dims for trial in range(config.trials_per_suite)]
         assert list(map(bits, batch)) == list(map(bits, alone))
+
+
+@pytest.mark.parametrize("suite", ["cor23", "thm22"])
+def test_chunks_on_both_sides_of_the_kernel_give_each_trial_the_bits_of_run_trial(
+        monkeypatch, suite):
+    # a trial alone draws its streams from default_rng; a chunk of at least
+    # g1gen._KERNEL_SEEDS trials draws them from the hashing kernel
+    kernel = g1gen._KERNEL_SEEDS
+    config = runner.TrialConfig(master_seed=31, dims=(1, 3), trials_per_suite=2 * kernel + 1,
+                                suites=(suite,))
+    alone = [bits(runner.run_trial(config, suite, dim, trial)) for dim in config.dims
+             for trial in range(config.trials_per_suite)]
+    for size in (kernel - 1, kernel, 2 * kernel + 1):
+        monkeypatch.setattr(runner, "_chunk_size", lambda *args: size)
+        assert list(map(bits, runner.run_suite(config).details)) == alone
 
 
 def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch):
