@@ -5,9 +5,9 @@ A function here is a discrete probability measure on the circle,
     f(z) = sum_j w_j (e^{i a_j} + z) / (e^{i a_j} - z),
 
 which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Random functions
-are drawn a stack at a time (random_herglotz_stack), each from its own
-seed's stream, and checked once over the stack. Matrix arguments
-are handled by two independent routes, both on a checked G1Operator:
+are drawn a stack at a time (random_herglotz_stack), each with one uniform
+fill of its own seed's stream, and checked once over the stack. Matrix
+arguments are handled by two independent routes, both on a checked G1Operator:
 unitary diagonalization of one that carries its diagonalizer, over a
 stack of (function, operator) pairs at a time (apply_normal_stack), and
 trapezoidal quadrature of the Cauchy resolvent integral, over one stack of
@@ -73,23 +73,25 @@ def _kernel_sum(weights: np.ndarray, phases: np.ndarray, z):
     return np.sum(weights * (phases + z) / (phases - z), axis=-1)
 
 
-def random_herglotz_stack(seeds, atoms: int) -> list[HerglotzFunction]:
+def random_herglotz_stack(seeds, atoms: int, streams=None) -> list[HerglotzFunction]:
     """One seed-deterministic function per seed, drawn and checked as one stack.
 
-    Each function draws from its own stream, that of
-    np.random.default_rng(seed) (g1gen.generators): its angles, uniform on
-    [0, 2pi), then its weights, uniform on [0, 1). Each row of weights is
+    Each function takes one stream, the next of streams (by default
+    g1gen.generators(seeds), the streams of np.random.default_rng(seed)):
+    one rng.random fill of 2 atoms doubles d, whose first atoms give its
+    angles 2 pi d and the rest its weights d, the bits of uniform(0, 2pi)
+    then uniform() (numpy's low + (high - low) d). Each row of weights is
     then divided by its sum, _check_atoms checks the stack and one np.exp
     gives every phase. A row's sum along the last axis is the 1-d sum of the
     row, so each function gets the bits that a stack of its seed alone gives
     it (random_herglotz); it holds views of the stack's arrays.
     """
-    angles = np.empty((len(seeds), atoms))
-    weights = np.empty((len(seeds), atoms))
-    for rng, a, w in zip(g1gen.generators(seeds), angles, weights):
-        a[:] = rng.uniform(0.0, TWO_PI, size=atoms)
-        w[:] = rng.uniform(size=atoms)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    draws = np.empty((len(seeds), 2 * atoms))
+    # the rows go first: zip stops on them without taking a stream past the last
+    for row, rng in zip(draws, g1gen.generators(seeds) if streams is None else streams):
+        rng.random(out=row)
+    angles = TWO_PI * draws[:, :atoms]
+    weights = draws[:, atoms:] / draws[:, atoms:].sum(axis=-1, keepdims=True)
     _check_atoms(angles, weights)
     fs = []
     for fields in zip(angles, weights, np.exp(1j * angles)):

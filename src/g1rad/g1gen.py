@@ -4,13 +4,13 @@ An operator is G1 when ||(z - A)^{-1}|| = 1 / dist(z, sigma(A)) away from
 its spectrum. Normal matrices satisfy this exactly, so the generated
 population is normal by construction: Haar unitary conjugations of spectra
 drawn uniformly inside a disk of radius rho_max < 1. They are built a stack
-at a time (random_g1_stack): each operator draws its spectrum and its
-Ginibre matrix from its own seed's stream, then one QR, one reconstruction
-U diag(lambda) U* and one run of _validate cover the stack, and every
-operator keeps the bits it has alone (random_g1 is a stack of one).
-generators gives every stream that sampling draws, the trials' and the
-functions' too, with the bits of np.random.default_rng(seed), seeding a
-long list of seeds in one vectorized pass of numpy's SeedSequence hash.
+at a time (random_g1_stack): each operator fills its spectrum's first
+rejection round and its Ginibre matrix from its own seed's stream, then one
+QR, one reconstruction U diag(lambda) U* and one run of _validate cover the
+stack, and every operator keeps the bits it has alone (random_g1 is a stack
+of one). generators gives every stream that sampling draws with the bits of
+np.random.default_rng(seed), seeding a chunk's trials, or its functions and
+operators, in one vectorized pass of numpy's SeedSequence hash.
 _validate holds G1Operator's checks, over a stack; G1Operator runs it on a
 stack of one, so generated and loaded operators pass the same code.
 Externally supplied candidates are admitted only through the numerical
@@ -286,18 +286,23 @@ def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     return out[:k]
 
 
-def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
+def random_g1_stack(seeds, n: int, rho_max: float, streams=None) -> list[G1Operator]:
     """One seed-deterministic normal operator per seed, with spectrum in the
     disk of radius rho_max, built and checked as one stack.
 
-    Each operator draws from its own stream, that of
-    np.random.default_rng(seed) (generators): its spectrum's rejection draws
-    (_uniform_disk), then its Ginibre matrix's normals into its member of one
-    (k, 2, n, n) block. The QR (_haar_unitaries), the phase fix,
-    the products U diag(lambda) U* (linalg.diag_similarity) and _validate's
-    checks then run once over the stack. Each operator gets the bits that a
-    stack of its seed alone gives it (random_g1), which the tests check over
-    stack sizes and n; it holds views of the stack's arrays.
+    Each operator takes one stream, the next of streams (by default
+    generators(seeds), the streams of np.random.default_rng(seed)): one
+    rng.random fill of the max(2n, 8) points of _uniform_disk's first round,
+    whose 2d - 1 are the bits of its uniform(-1, 1) (numpy's -1 + 2d), then
+    its Ginibre matrix's normals into its member of one (k, 2, n, n) block.
+    The disk test and the first n points inside are taken over the stack; an
+    operator whose first round keeps fewer (about 1 in 100 at n = 8) is drawn
+    again, through _uniform_disk, from a default_rng of its seed. The QR
+    (_haar_unitaries), the phase fix, the products U diag(lambda) U*
+    (linalg.diag_similarity) and _validate's checks then run once over the
+    stack. Each operator gets the bits that a stack of its seed alone gives
+    it (random_g1), which the tests check over stack sizes and n; it holds
+    views of the stack's arrays.
     """
     if not 0.0 < rho_max < 1.0:
         raise ConfigError(f"rho_max must lie in (0, 1), got {rho_max}")
@@ -305,11 +310,22 @@ def random_g1_stack(seeds, n: int, rho_max: float) -> list[G1Operator]:
         raise ConfigError("dimension must be positive")
     if not len(seeds):
         return []
-    spectra = np.empty((len(seeds), n), dtype=np.complex128)
+    points = np.empty((len(seeds), max(2 * n, 8), 2))
     normals = np.empty((len(seeds), 2, n, n))
-    for rng, spectrum, out in zip(generators(seeds), spectra, normals):
-        spectrum[:] = _uniform_disk(rng, n)
+    # the rows go first: zip stops on them without taking a stream past the last
+    for row, out, rng in zip(points, normals, generators(seeds) if streams is None else streams):
+        rng.random(out=row)
         rng.standard_normal(out=out)
+    points = 2.0 * points - 1.0
+    inside = points[..., 0] ** 2 + points[..., 1] ** 2 <= 1.0
+    first = inside & (np.cumsum(inside, axis=1) <= n)
+    full = first.sum(axis=1) == n
+    spectra = np.empty((len(seeds), n), dtype=np.complex128)
+    spectra[full] = points[full].view(np.complex128)[first[full], 0].reshape(-1, n)
+    for i in np.flatnonzero(~full):
+        rng = np.random.default_rng(seeds[i])
+        spectra[i] = _uniform_disk(rng, n)
+        rng.standard_normal(out=normals[i])
     spectra *= rho_max
     unitaries = _haar_unitaries(normals)
     matrices = linalg.diag_similarity(unitaries, spectra)

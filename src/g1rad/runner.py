@@ -42,6 +42,15 @@ from .ineq import InequalityReport
 # holds, and bytes of atoms and kernel sums that its functions hold, unless
 # one trial alone holds more.
 _CELL_BYTES = 64 << 10
+# Bytes of one G1 operator and one function at a config's largest dim
+# (_input_bytes) past which TrialConfig refuses it, before any draw.
+_TRIAL_BYTES = 256 << 20
+
+
+def _input_bytes(dim: int, atoms: int) -> tuple:
+    """Bytes of a G1 operator's matrix and unitary (32 n^2), and of a function's
+    atoms, phases and kernel sums at n eigenvalues (16 atoms (n + 2)), n = dim."""
+    return 32 * dim * dim, 16 * atoms * (dim + 2)
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -153,6 +162,10 @@ class TrialConfig:
             raise ConfigError("rho_max must lie in (0, 1)")
         if self.atoms < 1:
             raise ConfigError("atoms must be at least 1")
+        need = sum(_input_bytes(max(self.dims), self.atoms))
+        if need > _TRIAL_BYTES:
+            raise ConfigError(f"a trial at dim {max(self.dims)} with {self.atoms} atoms "
+                              f"takes {need} bytes, past the cap of {_TRIAL_BYTES}")
         if self.report_format not in REPORT_FORMATS:
             raise ConfigError(f"report_format must be one of {', '.join(REPORT_FORMATS)}")
 
@@ -193,19 +206,20 @@ def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
 def _inputs(config: TrialConfig, suite: str, dim: int, seeds: list) -> list:
     """The checker inputs of the trials with these derived seeds, each drawn
     from its seed's stream (g1gen.generators), with the functions and the G1
-    operators of all the trials built and checked as one stack each."""
+    operators of all the trials built and checked as one stack each. One
+    generators call seeds the functions' streams, then the operators', and
+    the two builders take them in turn from it."""
     kinds = SUITES[suite].inputs
     inputs = [[_DRAWS[kind](rng, dim) for kind in kinds] for rng in g1gen.generators(seeds)]
-    for kind, build in (
-            ("f", lambda subs: funcalc.random_herglotz_stack(subs, config.atoms)),
-            ("op", lambda subs: g1gen.random_g1_stack(subs, dim, config.rho_max))):
-        slots = [i for i, k in enumerate(kinds) if k == kind]
-        if not slots:
-            continue
-        built = iter(build([args[i] for args in inputs for i in slots]))
-        for args in inputs:
-            for i in slots:
-                args[i] = next(built)
+    slots = [[(args, i) for args in inputs for i, k in enumerate(kinds) if k == kind]
+             for kind in ("f", "op")]
+    f_subs, op_subs = ([args[i] for args, i in kind_slots] for kind_slots in slots)
+    streams = g1gen.generators(f_subs + op_subs)
+    built = funcalc.random_herglotz_stack(f_subs, config.atoms, streams) if f_subs else []
+    if op_subs:
+        built += g1gen.random_g1_stack(op_subs, dim, config.rho_max, streams)
+    for (args, i), value in zip(slots[0] + slots[1], built):
+        args[i] = value
     return inputs
 
 
@@ -241,15 +255,13 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
 
 def _chunk_size(config: TrialConfig, suite: str, dim: int) -> int:
     """Trials per chunk of a (suite, dim) cell: as many as keep their G1
-    operators' matrices and unitaries (32 n^2 bytes an operator) and their
-    functions within _CELL_BYTES each, and at least one. A function takes 16
-    bytes an atom for its angles and weights, 16 for its phases and 16 n for
-    its kernel sums at an operator's n eigenvalues. A suite that draws
-    neither runs a trial a chunk."""
+    operators and their functions within _CELL_BYTES each (_input_bytes),
+    and at least one. A suite that draws neither runs a trial a chunk."""
     kinds = SUITES[suite].inputs
-    caps = [_CELL_BYTES // (32 * dim * dim * kinds.count("op"))] if "op" in kinds else []
+    op_bytes, f_bytes = _input_bytes(dim, config.atoms)
+    caps = [_CELL_BYTES // (op_bytes * kinds.count("op"))] if "op" in kinds else []
     if "f" in kinds:
-        caps.append(_CELL_BYTES // (16 * config.atoms * (dim + 2)))
+        caps.append(_CELL_BYTES // f_bytes)
     return max(1, min(caps, default=1))
 
 

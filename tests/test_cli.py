@@ -100,6 +100,14 @@ def test_verify_rejects_bad_rho(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--atoms", "1000000000000"), ("--dims", "100000000")])
+def test_verify_refuses_an_oversized_trial_before_drawing(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--suites", "cor23", "--dims", "2",
+                             "--trials", "1", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "past" in err
+
+
 def test_replay_matches_library_call(capsys):
     cfg = runner.TrialConfig(master_seed=5, dims=(2,), trials_per_suite=2,
                              suites=("thm22",))

@@ -147,13 +147,15 @@ def test_random_herglotz_stack_gives_each_seed_its_function_alone(k, atoms):
 
 
 class FixedDraws:
-    """A stand-in generator whose uniform draws are the given rows, in turn."""
+    """A stand-in generator whose one uniform fill gives the given angles and
+    weights: the angles over 2pi, then the weights, which the stack scales
+    back by 2pi and keeps."""
 
-    def __init__(self, *rows):
-        self.rows = iter(rows)
+    def __init__(self, angles, weights):
+        self.draws = np.concatenate((np.divide(angles, funcalc.TWO_PI), weights))
 
-    def uniform(self, *args, size):
-        return np.array(next(self.rows), dtype=float)
+    def random(self, out):
+        out[:] = self.draws
 
 
 BAD_MEMBERS = [  # (angles, weights) of a bad member, before normalization

@@ -243,6 +243,27 @@ def test_random_g1_stack_has_the_bits_of_one_call_per_seed(n, size):
         assert op.certificate is None and op.dim == n
 
 
+# At n = 8 the first rejection round of these seeds, 16 points, keeps fewer
+# than 8 inside the disk, so random_g1_stack draws them again on their own.
+SHORT_FIRST_ROUND = (79, 139, 337)
+
+
+@pytest.mark.parametrize("size", [5, KERNEL + 3])
+def test_an_operator_whose_first_round_falls_short_keeps_its_bits(size):
+    n = 8
+    for seed in SHORT_FIRST_ROUND:
+        points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * n, 2))
+        assert np.count_nonzero((points ** 2).sum(axis=1) <= 1.0) < n
+    seeds = [1, 79, 2, 139, 337] + list(range(600, 600 + size - 5))
+    for seed, op in zip(seeds, g1gen.random_g1_stack(seeds, n, 0.8)):
+        assert _bytes(op) == _bytes(g1gen.random_g1(seed, n, 0.8))
+        rng = np.random.default_rng(seed)
+        spectrum = g1gen._uniform_disk(rng, n)
+        normals = rng.standard_normal((1, 2, n, n))
+        assert op.spectrum.tobytes() == (0.8 * spectrum).tobytes()
+        assert op.unitary.tobytes() == g1gen._haar_unitaries(normals)[0].tobytes()
+
+
 def test_random_g1_stack_of_no_seeds_is_empty():
     assert g1gen.random_g1_stack([], 3, 0.8) == []
     with pytest.raises(ConfigError):

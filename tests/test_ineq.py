@@ -332,6 +332,49 @@ def test_scalar_operator_attains_thm22_sum_and_cor23_re(lam):
         assert abs(report.ratio - 1.0) <= 1e-12
 
 
+# ------------------------------------------------------- n = 1 closed forms
+
+N1_RADII = (0.05, 0.3, 0.8, 0.95)
+N1_ANGLES = (0.4, 2.5, 5.0)
+EPS = np.finfo(float).eps
+
+
+def scalar_operator(lam):
+    return g1gen.G1Operator(matrix=np.array([[lam]], dtype=complex),
+                            spectrum=np.array([lam], dtype=complex),
+                            unitary=np.eye(1, dtype=complex))
+
+
+@pytest.mark.parametrize("r", N1_RADII)
+@pytest.mark.parametrize("phi", N1_ANGLES)
+def test_n1_atom_at_arg_lambda_attains_harnacks_bound(r, phi):
+    # at n = 1, thm22:sum and cor23:re reduce to Harnack's inequality
+    # Re f(lam) <= (1 + r)/(1 - r), r = |lam|, which one atom at arg lam
+    # attains: ratio 1, whatever X
+    op = scalar_operator(r * np.exp(1j * phi))
+    f = HerglotzFunction(np.array([phi]), np.array([1.0]))
+    x = np.array([[0.7 - 0.2j]])
+    for report in (ineq.check_thm22(f, op, x, "sum"), check_one("cor23", f, op, "re")):
+        assert abs(report.ratio - 1.0) <= 64 * EPS
+
+
+@pytest.mark.parametrize("r", N1_RADII)
+@pytest.mark.parametrize("phi", N1_ANGLES)
+def test_n1_cor23_im_reaches_its_closed_form_sup(r, phi):
+    # one atom maps |z| = r onto the circle of centre (1 + r^2)/(1 - r^2) and
+    # radius 2r/(1 - r^2), so |Im f(lam)| <= 2r/(1 - r^2) against the right
+    # side 2r/(1 - r)^2: the sup ratio over the atom's angle is (1 - r)/(1 + r)
+    op = scalar_operator(r * np.exp(1j * phi))
+    scan = 2000
+    fs = [HerglotzFunction(np.array([2.0 * np.pi * j / scan]), np.array([1.0]))
+          for j in range(scan)]
+    reports = ineq.check_cor23(fs, [op] * scan, ["im"] * scan, list(range(scan)))
+    sup = (1.0 - r) / (1.0 + r)
+    largest = max(report.ratio for report in reports)
+    assert largest <= sup * (1.0 + 64 * EPS)
+    assert largest >= sup * (1.0 - 1e-4)
+
+
 # ---------------------------------------------------------------- thm24
 
 def test_thm24_same_operator_commutator_vanishes():

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from g1rad import g1gen, ineq, runner, serialize
+from g1rad import funcalc, g1gen, ineq, runner, serialize
 from g1rad.errors import CertificationFailed, ConfigError, ParseError, SpectrumOnBoundary
 
 TINY = runner.TrialConfig(master_seed=7, dims=(2,), trials_per_suite=1, suites=("thm22",))
@@ -89,9 +89,9 @@ def test_a_cell_spans_chunks_and_replays_trial_by_trial(monkeypatch):
     stacks = []
     build = g1gen.random_g1_stack
 
-    def counting(seeds, n, rho_max):
+    def counting(seeds, n, rho_max, streams=None):
         stacks.append(len(seeds))
-        return build(seeds, n, rho_max)
+        return build(seeds, n, rho_max, streams)
 
     monkeypatch.setattr(g1gen, "random_g1_stack", counting)
     result = runner.run_suite(CHUNKED)
@@ -201,13 +201,48 @@ def test_chunks_on_both_sides_of_the_kernel_give_each_trial_the_bits_of_run_tria
         assert list(map(bits, runner.run_suite(config).details)) == alone
 
 
+def _op_bits(op):
+    return [op.matrix.tobytes(), op.spectrum.tobytes(), op.unitary.tobytes(), op.d]
+
+
+def _f_bits(f):
+    return [f.angles.tobytes(), f.weights.tobytes(), f.phases.tobytes()]
+
+
+@pytest.mark.parametrize("total", [g1gen._KERNEL_SEEDS + k for k in (-1, 0, 1)])
+def test_one_seeding_pass_builds_what_separate_passes_build(total):
+    # _inputs seeds a chunk's functions' and operators' streams in one
+    # generators call; 79 and 139 need a second disk round at n = 8
+    f_seeds = list(range(300, 300 + total // 2))
+    op_seeds = [79, 139] + list(range(400, 400 + total - len(f_seeds) - 2))
+    streams = g1gen.generators(f_seeds + op_seeds)
+    fs = funcalc.random_herglotz_stack(f_seeds, 8, streams)
+    ops = g1gen.random_g1_stack(op_seeds, 8, 0.8, streams)
+    assert next(streams, None) is None
+    assert list(map(_f_bits, fs)) == list(map(_f_bits, funcalc.random_herglotz_stack(f_seeds, 8)))
+    assert list(map(_op_bits, ops)) == list(map(_op_bits, g1gen.random_g1_stack(op_seeds, 8, 0.8)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda seeds, streams: funcalc.random_herglotz_stack(seeds, 8, streams),
+    lambda seeds, streams: g1gen.random_g1_stack(seeds, 3, 0.8, streams),
+])
+@pytest.mark.parametrize("total", [8, 20])
+def test_a_builder_leaves_the_next_stream_untaken(build, total):
+    # from _KERNEL_SEEDS on, generators re-seeds one Generator in place, so a
+    # stream taken past a builder's own would shift every later one
+    streams = g1gen.generators(list(range(total)))
+    build(list(range(5)), streams)
+    assert next(streams).bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
 def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch):
     refs = []
     build = g1gen.random_g1_stack
 
-    def tracking(seeds, n, rho_max):
+    def tracking(seeds, n, rho_max, streams=None):
         assert all(ref() is None for ref in refs), "the last chunk's operators are still held"
-        ops = build(seeds, n, rho_max)
+        ops = build(seeds, n, rho_max, streams)
         refs[:] = map(weakref.ref, ops)
         return ops
 
@@ -252,6 +287,13 @@ def test_config_validation():
         runner.TrialConfig(dims=(0,)).validate()
     with pytest.raises(ConfigError):
         runner.TrialConfig(report_format="xml").validate()
+
+
+@pytest.mark.parametrize("field, value", [("atoms", 10**12), ("dims", (2, 10**8))])
+def test_config_refuses_a_trial_past_the_byte_cap(field, value):
+    # refused on construction, so nothing is drawn; only sizes past the cap are tried
+    with pytest.raises(ConfigError, match="past"):
+        runner.TrialConfig(suites=("cor23",), **{field: value})
 
 
 def test_config_is_validated_on_construction():
