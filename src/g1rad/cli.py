@@ -7,6 +7,7 @@ configuration or input-file problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -89,6 +90,8 @@ def _cmd_verify(args) -> int:
         suite, dim, trial = _parse_replay(args.replay)
         if suite not in config.suites:
             raise ConfigError(f"replay suite {suite!r} not in the selected suites")
+        # the replayed trial's own config, which the size guard checks before any draw
+        config = dataclasses.replace(config, suites=(suite,), dims=(dim,))
         report = run_trial(config, suite, dim, trial)
         if config.report_format == "csv":  # the header and the row a batch writes for it
             _emit(args.out, render_report([], [report], "csv", config))

@@ -62,14 +62,19 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 def diag_similarity(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     """U diag(v) U* of each pair of a (k, n, n) stack of U and a (k, n) stack of v.
 
-    The columns of each U are scaled by its v in one product per matrix, as
-    a single (n, n) by (n,) product does: at n = 1, numpy multiplies a whole
-    stack in another loop, which rounds differently. One matmul then takes
-    every product with U*, with the bits of one call per matrix.
+    The columns of every U are scaled by its v in one broadcast product,
+    with the bits of a single (n, n) by (n,) product per matrix at n >= 2,
+    in any layout. At n = 1, numpy multiplies a whole stack in another loop,
+    which rounds differently, so there each matrix takes its own product.
+    One matmul then takes every product with U*, with the bits of one call
+    per matrix.
     """
-    scaled = np.empty(u.shape, dtype=np.result_type(u, values))
-    for ui, vi, out in zip(u, values, scaled):
-        np.multiply(ui, vi, out=out)
+    if u.shape[-1] > 1:
+        scaled = u * values[:, None, :]
+    else:
+        scaled = np.empty(u.shape, dtype=np.result_type(u, values))
+        for ui, vi, out in zip(u, values, scaled):
+            np.multiply(ui, vi, out=out)
     return scaled @ adjoint(u)
 
 

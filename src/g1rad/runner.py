@@ -5,11 +5,12 @@ Every trial derives its RNG stream from a SHA-256 hash of
 without rerunning the batch. A SUITES row names its ineq checker, its
 variants and the kinds of its checker's inputs, which a trial draws in that
 order. run_suite runs each (suite, dim) cell in chunks of consecutive trials
-(_run_cell), one run_trial call per chunk. g1gen.generators seeds a chunk's
-trial streams, and funcalc and g1gen build and check its functions and its
-G1 operators, at most _CELL_BYTES of each, as one stack each. Every stream
-is that of default_rng(seed), and every function and operator has the same
-bits in any chunk, so run_trial alone replays any trial exactly.
+(_run_cell), one run_trial call per chunk, each chunk holding at most
+_CELL_BYTES of each kind of input (_chunk_size). g1gen.generators seeds a
+chunk's trial streams, and funcalc and g1gen build and check its functions
+and its G1 operators as one stack each. Every stream is that of
+default_rng(seed), and every function and operator has the same bits in any
+chunk, so run_trial alone replays any trial exactly.
 
 The split between chunks and trials is deliberate. The rows that take no
 w() (cor23, rem25 and cor26) are chunked: their checker takes a whole chunk
@@ -38,19 +39,21 @@ from .errors import CertificationFailed, ConfigError, ParseError, Singular
 from .g1gen import G1Operator
 from .ineq import InequalityReport
 
-# Bytes of matrices and unitaries that one chunk of a cell's G1 operators
-# holds, and bytes of atoms and kernel sums that its functions hold, unless
-# one trial alone holds more.
-_CELL_BYTES = 64 << 10
-# Bytes of one G1 operator and one function at a config's largest dim
-# (_input_bytes) past which TrialConfig refuses it, before any draw.
+# Bytes (_input_bytes) that one chunk of a cell holds of each kind of its
+# trials' inputs, unless one trial alone holds more.
+_CELL_BYTES = 128 << 10
+# Bytes of one trial's inputs at a config's largest dim, in its largest row,
+# past which TrialConfig refuses it, before any draw.
 _TRIAL_BYTES = 256 << 20
 
 
-def _input_bytes(dim: int, atoms: int) -> tuple:
-    """Bytes of a G1 operator's matrix and unitary (32 n^2), and of a function's
-    atoms, phases and kernel sums at n eigenvalues (16 atoms (n + 2)), n = dim."""
-    return 32 * dim * dim, 16 * atoms * (dim + 2)
+def _input_bytes(dim: int, atoms: int) -> dict:
+    """Bytes of one checker input of each kind at n = dim: a G1 operator's
+    matrix and unitary (32 n^2), a function's atoms, phases and kernel sums
+    at n eigenvalues (16 atoms (n + 2)), an n x n complex matrix (16 n^2)
+    and an angle (8)."""
+    return {"op": 32 * dim * dim, "f": 16 * atoms * (dim + 2),
+            "ginibre": 16 * dim * dim, "hermitian": 16 * dim * dim, "angle": 8}
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -58,7 +61,9 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _sub_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 1 << 62))
+    # int(rng.integers(0, 1 << 62)) from the one raw word it takes: numpy's
+    # Lemire draw never rejects on a power-of-two range and keeps the top bits
+    return rng.bit_generator.random_raw() >> 2
 
 
 # Each kind of checker input, as drawn from a trial's generator. An "f" and
@@ -162,9 +167,10 @@ class TrialConfig:
             raise ConfigError("rho_max must lie in (0, 1)")
         if self.atoms < 1:
             raise ConfigError("atoms must be at least 1")
-        need = sum(_input_bytes(max(self.dims), self.atoms))
+        sizes = _input_bytes(max(self.dims), self.atoms)
+        need, suite = max((sum(map(sizes.get, SUITES[s].inputs)), s) for s in self.suites)
         if need > _TRIAL_BYTES:
-            raise ConfigError(f"a trial at dim {max(self.dims)} with {self.atoms} atoms "
+            raise ConfigError(f"a {suite} trial at dim {max(self.dims)} with {self.atoms} atoms "
                               f"takes {need} bytes, past the cap of {_TRIAL_BYTES}")
         if self.report_format not in REPORT_FORMATS:
             raise ConfigError(f"report_format must be one of {', '.join(REPORT_FORMATS)}")
@@ -254,15 +260,12 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
 
 
 def _chunk_size(config: TrialConfig, suite: str, dim: int) -> int:
-    """Trials per chunk of a (suite, dim) cell: as many as keep their G1
-    operators and their functions within _CELL_BYTES each (_input_bytes),
-    and at least one. A suite that draws neither runs a trial a chunk."""
+    """Trials per chunk of a (suite, dim) cell: as many as keep their inputs
+    of each kind (their G1 operators, their functions, their Ginibre
+    matrices, ...) within _CELL_BYTES by _input_bytes, and at least one."""
     kinds = SUITES[suite].inputs
-    op_bytes, f_bytes = _input_bytes(dim, config.atoms)
-    caps = [_CELL_BYTES // (op_bytes * kinds.count("op"))] if "op" in kinds else []
-    if "f" in kinds:
-        caps.append(_CELL_BYTES // f_bytes)
-    return max(1, min(caps, default=1))
+    sizes = _input_bytes(dim, config.atoms)
+    return max(1, min(_CELL_BYTES // (sizes[kind] * kinds.count(kind)) for kind in kinds))
 
 
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:

@@ -147,6 +147,16 @@ def haar_unitary_qr(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phases
 
 
+def diag_similarity_loop(u, values) -> np.ndarray:
+    """U diag(v) U* of each pair of a (k, n, n) stack of U and a (k, n) stack
+    of v, with one (n, n) by (n,) product per matrix: the loop whose bits
+    linalg.diag_similarity must keep, which it runs only at n = 1."""
+    scaled = np.empty(u.shape, dtype=np.result_type(u, values))
+    for ui, vi, out in zip(u, values, scaled):
+        np.multiply(ui, vi, out=out)
+    return scaled @ linalg.adjoint(u)
+
+
 def random_g1_one(seed: int, n: int, rho_max: float) -> tuple:
     """(matrix, spectrum, unitary, d) of g1gen.random_g1 by the one-operator
     route: the spectrum, then haar_unitary_qr's unitary from the same

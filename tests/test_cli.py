@@ -100,8 +100,10 @@ def test_verify_rejects_bad_rho(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--atoms", "1000000000000"), ("--dims", "100000000")])
+@pytest.mark.parametrize("flag, value", [("--atoms", "1000000000000"), ("--dims", "100000000"),
+                                         ("--replay", "cor23:100000000:0")])
 def test_verify_refuses_an_oversized_trial_before_drawing(capsys, flag, value):
+    # a replay takes its dim from its spec, not from --dims
     code, out, err = run_cli(capsys, "verify", "--suites", "cor23", "--dims", "2",
                              "--trials", "1", flag, value)
     assert (code, out) == (2, "")

@@ -44,6 +44,27 @@ def test_adjoint_involution():
     assert_allclose(linalg.adjoint(linalg.adjoint(a)), a)
 
 
+# the same values in another memory layout: column-major, or with negative strides
+LAYOUTS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: a.swapaxes(-1, -2).copy().swapaxes(-1, -2),
+    "reversed": lambda a: a[::-1, ..., ::-1].copy()[::-1, ..., ::-1],
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_diag_similarity_has_the_bits_of_one_product_per_matrix(layout):
+    # one broadcast product scales every U at n >= 2; at n = 1 numpy rounds
+    # a stacked product otherwise, and each matrix takes its own
+    rng = np.random.default_rng(61)
+    for n in [*range(1, 17), 24, 32, 64]:
+        for k in (1, 2, 7, 50):
+            u = LAYOUTS[layout](rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+            values = LAYOUTS[layout](rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+            expected = oracles.diag_similarity_loop(u, values)
+            assert linalg.diag_similarity(u, values).tobytes() == expected.tobytes(), (n, k)
+
+
 def test_herm_part_fixes_hermitian():
     rng = np.random.default_rng(2)
     h = random_complex(rng, 4)

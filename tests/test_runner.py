@@ -56,9 +56,9 @@ def test_trials_run_serially_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(runner, "run_trial", recording)
     monkeypatch.setenv("WRAD_THREADS", "3")
     three = runner.run_suite(cfg)
-    # one call per chunk: lemma21a draws no operator, so 8 chunks of one
-    # trial; thm22's four trials at n = 2 or 3 fit one chunk per dim
-    assert threads == [threading.get_ident()] * 10
+    # one call per chunk: the four trials of either suite at n = 2 or 3 fit
+    # one chunk per dim
+    assert threads == [threading.get_ident()] * 4
     assert (runner.render_report(one.suites, one.details, "json", cfg)
             == runner.render_report(three.suites, three.details, "json", cfg))
 
@@ -80,8 +80,10 @@ def test_replay_reproduces_batch_trial():
 
 
 # rem25 at n = 16: a trial's two operators hold 16 KiB of matrices and
-# unitaries, so 40 trials run in 10 chunks of 4 at the default budget
-CHUNKED = runner.TrialConfig(master_seed=19, dims=(16,), trials_per_suite=40,
+# unitaries, so the cell runs two full chunks of PER_CHUNK trials and a half one
+PER_CHUNK = runner._CELL_BYTES // (2 * 32 * 16 * 16)
+CHUNKED = runner.TrialConfig(master_seed=19, dims=(16,),
+                             trials_per_suite=2 * PER_CHUNK + PER_CHUNK // 2,
                              suites=("rem25",), report_format="csv")
 
 
@@ -95,15 +97,22 @@ def test_a_cell_spans_chunks_and_replays_trial_by_trial(monkeypatch):
 
     monkeypatch.setattr(g1gen, "random_g1_stack", counting)
     result = runner.run_suite(CHUNKED)
-    assert stacks == [8] * 10
-    assert result.details == [runner.run_trial(CHUNKED, "rem25", 16, t) for t in range(40)]
+    assert stacks == [2 * PER_CHUNK, 2 * PER_CHUNK, 2 * (PER_CHUNK // 2)]
+    trials = range(CHUNKED.trials_per_suite)
+    assert result.details == [runner.run_trial(CHUNKED, "rem25", 16, t) for t in trials]
+
+
+# The two tests below fix the chunk budget at 64 KiB, so that their sizes are
+# exact figures that hold whatever runner._CELL_BYTES is.
+BUDGET = 64 << 10
 
 
 @pytest.mark.parametrize("suite, dim, trials, chunks", [
     ("cor23", 8, 70, [32, 32, 6]),  # 64 KiB over one operator's 2 KiB
-    ("thm24", 3, 70, [70]),  # 113 trials of two operators fit
-    ("rem25", 64, 3, [1, 1, 1]),  # one trial holds 256 KiB, past the budget
-    ("lemma21a", 2, 5, [1] * 5),  # no operators: a trial a chunk
+    ("thm24", 3, 70, [70]),  # 102 trials of functions, and more of operators, fit
+    ("rem25", 64, 3, [1, 1, 1]),  # one trial's operators hold 256 KiB, past the budget
+    ("lemma21a", 2, 5, [5]),  # two 2 x 2 Ginibre matrices: 512 trials fit
+    ("lemma21c", 8, 35, [16, 16, 3]),  # 64 KiB over four 8 x 8 Ginibre matrices of 1 KiB
 ])
 def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim, trials,
                                                           chunks):
@@ -114,6 +123,7 @@ def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim
         sizes.append(len(args[-1]))
         return inputs(*args)
 
+    monkeypatch.setattr(runner, "_CELL_BYTES", BUDGET)
     monkeypatch.setattr(runner, "_inputs", recording)
     row = runner.SUITES[suite]
     if row.chunked:  # one call per chunk, whose last argument is the seeds
@@ -132,10 +142,12 @@ def test_a_chunk_is_the_budget_over_one_trials_operators(monkeypatch, suite, dim
     ("cor23", 8, 8, 32),  # the operators' cap, under the functions' 51
     ("rem25", 8, 8, 16),
     ("thm22", 4, 100, 6),
-    ("lemma21a", 2, 20_000, 1),  # no operators and no functions: a trial a chunk
+    # two Ginibre matrices of 64 bytes; the atoms count for nothing without a function
+    ("lemma21a", 2, 20_000, 512),
 ])
-def test_a_chunk_keeps_its_functions_within_the_budget(suite, dim, atoms, size):
+def test_a_chunk_keeps_its_functions_within_the_budget(monkeypatch, suite, dim, atoms, size):
     # a function's chunk bytes grow with its atoms: 16 atoms (n + 2) a trial
+    monkeypatch.setattr(runner, "_CELL_BYTES", BUDGET)
     config = runner.TrialConfig(dims=(dim,), atoms=atoms, suites=(suite,))
     assert runner._chunk_size(config, suite, dim) == size
 
@@ -247,14 +259,15 @@ def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch)
         return ops
 
     monkeypatch.setattr(g1gen, "random_g1_stack", tracking)
-    assert len(runner.run_suite(CHUNKED).details) == 40
+    assert len(runner.run_suite(CHUNKED).details) == CHUNKED.trials_per_suite
 
 
 def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
     # rem25 at n = 64: a trial's two operators hold 256 KiB of matrices and
-    # unitaries, more than the budget, so the cell runs a trial a chunk. With
-    # the temporaries of building and checking them it peaks at about 9 such
-    # chunks; the cell's 400 operators built as one stack took 300 MB.
+    # unitaries, so the cell runs chunks of max(1, _CELL_BYTES // 256 KiB)
+    # trials. With the temporaries of building and checking them it peaks at
+    # about 9 such chunks; the cell's 400 operators built as one stack took
+    # 300 MB.
     monkeypatch.setattr(ineq, "check_rem25", lambda *args: [
         ineq._report("rem25", 0.0, 1.0, seed, 64) for seed in args[-1]])
     config = runner.TrialConfig(master_seed=1, dims=(64,), trials_per_suite=200,
@@ -266,6 +279,18 @@ def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * max(runner._CELL_BYTES, 2 * 2 * 16 * 64 * 64)
+
+
+def test_sub_seed_is_the_draw_of_integers_below_2_62():
+    # one raw word shifted right by two: numpy's Lemire draw on [0, 2^62)
+    # never rejects and keeps the word's top 62 bits
+    edges = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**63, 2**64 - 1]
+    seeds = edges + np.random.default_rng(89).integers(0, 2**64, 2000, dtype=np.uint64).tolist()
+    for seed in seeds:
+        raw, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        subs = [runner._sub_seed(raw) for _ in range(3)]
+        assert subs == [int(drawn.integers(0, 1 << 62)) for _ in range(3)], seed
+        assert all(type(sub) is int for sub in subs)
 
 
 def test_trial_seed_is_stable():
@@ -294,6 +319,27 @@ def test_config_refuses_a_trial_past_the_byte_cap(field, value):
     # refused on construction, so nothing is drawn; only sizes past the cap are tried
     with pytest.raises(ConfigError, match="past"):
         runner.TrialConfig(suites=("cor23",), **{field: value})
+
+
+@pytest.mark.parametrize("suites, refused", [
+    (("cor23", "lemma21a"), None),  # an operator and a function; two Ginibre matrices
+    (("cor23", "rem25"), "rem25"),  # two operators, a function and a Hermitian matrix
+    (("lemma21c",), "lemma21c"),  # four Ginibre matrices
+])
+def test_the_size_guard_counts_every_input_of_the_largest_row(suites, refused):
+    # at n = 2100 an operator holds 141 MB and an n x n matrix 71 MB, so a
+    # cor23 or lemma21a trial fits the 256 MiB cap, and a lemma21c (282 MB)
+    # or rem25 (353 MB) trial does not
+    if refused is None:
+        runner.TrialConfig(suites=suites, dims=(2, 2100))
+    else:
+        with pytest.raises(ConfigError, match=f"a {refused} trial at dim 2100 .* past"):
+            runner.TrialConfig(suites=suites, dims=(2, 2100))
+
+
+@pytest.mark.parametrize("fields", [{}, {"dims": (64,)}, {"atoms": 20_000}])
+def test_the_size_guard_passes_the_default_and_large_configs(fields):
+    assert runner.TrialConfig(**fields).suites == runner.ALL_SUITES
 
 
 def test_config_is_validated_on_construction():
