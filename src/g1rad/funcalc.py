@@ -5,19 +5,20 @@ A function here is a discrete probability measure on the circle,
     f(z) = sum_j w_j (e^{i a_j} + z) / (e^{i a_j} - z),
 
 which is analytic on |z| < 1 with Re(f) > 0 and f(0) = 1. Random functions
-are drawn a stack at a time (random_herglotz_stack), each with one uniform
-fill of its own seed's stream, and checked once over the stack. Matrix
-arguments are handled by two independent routes, both on a checked G1Operator:
-unitary diagonalization of one that carries its diagonalizer, over a
-stack of (function, operator) pairs at a time (apply_normal_stack), and
-trapezoidal quadrature of the Cauchy resolvent integral, over one stack of
-resolvents from linalg.resolvents, for any of them. The
+are drawn a stack at a time, as one HerglotzStack (random_herglotz_stack),
+each with one uniform fill of its own seed's stream, and checked once over
+the stack. Matrix arguments are handled by two independent routes, both on
+checked G1 operators: unitary diagonalization of those that carry their
+diagonalizer, over a function and an operator stack at a time
+(apply_normal_stack), and trapezoidal quadrature of the Cauchy resolvent
+integral over one linalg.resolvents stack, for any of them. The
 conjugate function acts as fbar(A) = (f(A))*; the tests check this identity
 against a direct conjugate-kernel summation kept in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .g1gen import G1Operator
 
 WEIGHT_SUM_TOL = 1e-14
 TWO_PI = 2.0 * np.pi
+_NO_DIAGONALIZER = "apply_normal needs the operator's diagonalizer; use riesz_dunford"
 
 
 def _check_atoms(angles: np.ndarray, weights: np.ndarray) -> None:
@@ -73,7 +75,11 @@ def _kernel_sum(weights: np.ndarray, phases: np.ndarray, z):
     return np.sum(weights * (phases + z) / (phases - z), axis=-1)
 
 
-def random_herglotz_stack(seeds, atoms: int, streams=None) -> list[HerglotzFunction]:
+# k functions of one atom count: (k, atoms) angles, weights and phases e^{i a_j}
+HerglotzStack = namedtuple("HerglotzStack", "angles weights phases")
+
+
+def random_herglotz_stack(seeds, atoms: int, streams=None) -> HerglotzStack:
     """One seed-deterministic function per seed, drawn and checked as one stack.
 
     Each function takes one stream, the next of streams (by default
@@ -83,8 +89,8 @@ def random_herglotz_stack(seeds, atoms: int, streams=None) -> list[HerglotzFunct
     then uniform() (numpy's low + (high - low) d). Each row of weights is
     then divided by its sum, _check_atoms checks the stack and one np.exp
     gives every phase. A row's sum along the last axis is the 1-d sum of the
-    row, so each function gets the bits that a stack of its seed alone gives
-    it (random_herglotz); it holds views of the stack's arrays.
+    row, so each member has the bits that a stack of its seed alone gives it
+    (random_herglotz).
     """
     draws = np.empty((len(seeds), 2 * atoms))
     # the rows go first: zip stops on them without taking a stream past the last
@@ -93,42 +99,38 @@ def random_herglotz_stack(seeds, atoms: int, streams=None) -> list[HerglotzFunct
     angles = TWO_PI * draws[:, :atoms]
     weights = draws[:, atoms:] / draws[:, atoms:].sum(axis=-1, keepdims=True)
     _check_atoms(angles, weights)
-    fs = []
-    for fields in zip(angles, weights, np.exp(1j * angles)):
-        f = object.__new__(HerglotzFunction)  # checked above, by _check_atoms
-        vars(f).update(zip(("angles", "weights", "phases"), fields))
-        fs.append(f)
-    return fs
+    return HerglotzStack(angles, weights, np.exp(1j * angles))
 
 
 def random_herglotz(seed: int, atoms: int) -> HerglotzFunction:
     """Draw angles uniformly on [0, 2pi) and normalized positive weights."""
-    return random_herglotz_stack((seed,), atoms)[0]
+    return g1gen._member(HerglotzFunction, random_herglotz_stack((seed,), atoms), 0)
 
 
-def apply_normal_stack(fs, ops) -> np.ndarray:
-    """f_i(A_i) = U_i diag(f_i(lambda_i)) U_i* for each pair of a function and
-    an operator that carries its diagonalizer U_i, as a (k, n, n) stack.
-
-    The operators share their n and the functions their number of atoms.
-    One array expression gives every kernel sum f_i(lambda_i), and one
-    linalg.diag_similarity call every product, so each member has the bits
-    of apply_normal on its pair alone. G1Operator has already checked that
-    U is unitary, that A = U diag(lambda) U* and that the spectrum lies
-    inside the unit disk. An operator without U raises ValueError;
-    riesz_dunford takes any operator.
+def apply_normal_stack(fs: HerglotzStack, ops: g1gen.G1Stack) -> np.ndarray:
+    """f(A) = U diag(f(lambda)) U* for k functions and m k operators that carry
+    their diagonalizer U, as an (m k, n, n) stack: function i applies to
+    operators m i to m i + m - 1 (a two-operator row's A and B, at m = 2).
+    One array expression, each function broadcast over its operators, gives
+    every kernel sum f(lambda), and one linalg.diag_similarity call every
+    product, so each member has the bits of apply_normal on its pair alone.
+    G1Operator has already checked that U is unitary, that A = U diag(lambda)
+    U* and that the spectrum lies inside the unit disk. A stack without U
+    raises ValueError; riesz_dunford takes any operator.
     """
-    if any(op.unitary is None for op in ops):
-        raise ValueError("apply_normal needs the operator's diagonalizer; use riesz_dunford")
-    weights = np.array([f.weights for f in fs])[:, None, :]
-    phases = np.array([f.phases for f in fs])[:, None, :]
-    values = _kernel_sum(weights, phases, np.array([op.spectrum for op in ops]))
-    return linalg.diag_similarity(np.array([op.unitary for op in ops]), values)
+    if ops.unitaries is None:
+        raise ValueError(_NO_DIAGONALIZER)
+    spectra = ops.spectra.reshape(len(fs.weights), -1, ops.spectra.shape[-1])
+    values = _kernel_sum(fs.weights[:, None, None, :], fs.phases[:, None, None, :], spectra)
+    return linalg.diag_similarity(ops.unitaries, values.reshape(ops.spectra.shape))
 
 
 def apply_normal(f: HerglotzFunction, op: G1Operator) -> np.ndarray:
-    """f(A) = U diag(f(lambda)) U*: apply_normal_stack on one pair."""
-    return apply_normal_stack((f,), (op,))[0]
+    """f(A) = U diag(f(lambda)) U*, by apply_normal_stack's expressions on one pair."""
+    if op.unitary is None:
+        raise ValueError(_NO_DIAGONALIZER)
+    values = _kernel_sum(f.weights, f.phases, op.spectrum)
+    return linalg.diag_similarity(op.unitary[None], values[None])[0]
 
 
 def riesz_dunford(f: HerglotzFunction, op: G1Operator, nodes: int = 512) -> np.ndarray:

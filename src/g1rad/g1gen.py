@@ -4,13 +4,13 @@ An operator is G1 when ||(z - A)^{-1}|| = 1 / dist(z, sigma(A)) away from
 its spectrum. Normal matrices satisfy this exactly, so the generated
 population is normal by construction: Haar unitary conjugations of spectra
 drawn uniformly inside a disk of radius rho_max < 1. They are built a stack
-at a time (random_g1_stack): each operator fills its spectrum's first
-rejection round and its Ginibre matrix from its own seed's stream, then one
-QR, one reconstruction U diag(lambda) U* and one run of _validate cover the
-stack, and every operator keeps the bits it has alone (random_g1 is a stack
-of one). generators gives every stream that sampling draws with the bits of
-np.random.default_rng(seed), seeding a chunk's trials, or its functions and
-operators, in one vectorized pass of numpy's SeedSequence hash.
+at a time, as one G1Stack of arrays (random_g1_stack): each operator fills
+its spectrum's first rejection round and its Ginibre matrix from its own
+seed's stream, then one QR, one reconstruction U diag(lambda) U* and one run
+of _validate cover the stack, and each keeps the bits it has alone (random_g1
+views a stack of one as a G1Operator). generators gives every stream that
+sampling draws with the bits of np.random.default_rng(seed), seeding a chunk's
+trials, or its functions and operators, in one pass of SeedSequence's hash.
 _validate holds G1Operator's checks, over a stack; G1Operator runs it on a
 stack of one, so generated and loaded operators pass the same code.
 Externally supplied candidates are admitted only through the numerical
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,9 +93,9 @@ def _validate(matrices: np.ndarray, spectra: np.ndarray,
         if unitaries is not None:
             u_adj = linalg.adjoint(unitaries)
             np.matmul(u_adj, unitaries, out=residuals[1])
-            residuals[1].reshape(k, -1)[:, ::n + 1] -= 1.0
+            residuals[1].reshape(k, n * n)[:, ::n + 1] -= 1.0
             np.subtract((unitaries * spectra[:, None, :]) @ u_adj, matrices, out=residuals[2])
-        norms = linalg._fro_norms(residuals.reshape(-1, n, n)).reshape(-1, k)
+        norms = linalg._fro_norms(residuals.reshape(-1, n, n)).reshape(len(residuals), k)
         normal = norms[0] <= NORMALITY_TOL * gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
     checks = [(np.isfinite(matrices).all(axis=(-2, -1)), ValueError,
                "matrix entries must be finite"),
@@ -286,9 +287,20 @@ def _uniform_disk(rng: np.random.Generator, k: int) -> np.ndarray:
     return out[:k]
 
 
-def random_g1_stack(seeds, n: int, rho_max: float, streams=None) -> list[G1Operator]:
+# k operators of one n: (k, n, n) matrices, (k, n) spectra, (k, n, n) unitaries or None, k floats d
+G1Stack = namedtuple("G1Stack", "matrices spectra unitaries d")
+
+
+def _member(cls, stack: tuple, i: int):
+    """Member i of a checked stack as a cls of views of its parts; later fields keep defaults."""
+    member = object.__new__(cls)  # no check: the stack's ran
+    vars(member).update(zip(cls.__dataclass_fields__, [part[i] for part in stack]))
+    return member
+
+
+def random_g1_stack(seeds, n: int, rho_max: float, streams=None) -> G1Stack:
     """One seed-deterministic normal operator per seed, with spectrum in the
-    disk of radius rho_max, built and checked as one stack.
+    disk of radius rho_max, built and checked as one G1Stack.
 
     Each operator takes one stream, the next of streams (by default
     generators(seeds), the streams of np.random.default_rng(seed)): one
@@ -300,16 +312,13 @@ def random_g1_stack(seeds, n: int, rho_max: float, streams=None) -> list[G1Opera
     again, through _uniform_disk, from a default_rng of its seed. The QR
     (_haar_unitaries), the phase fix, the products U diag(lambda) U*
     (linalg.diag_similarity) and _validate's checks then run once over the
-    stack. Each operator gets the bits that a stack of its seed alone gives
-    it (random_g1), which the tests check over stack sizes and n; it holds
-    views of the stack's arrays.
+    stack. Each member has the bits that a stack of its seed alone gives it
+    (random_g1), which the tests check over stack sizes and n.
     """
     if not 0.0 < rho_max < 1.0:
         raise ConfigError(f"rho_max must lie in (0, 1), got {rho_max}")
     if n < 1:
         raise ConfigError("dimension must be positive")
-    if not len(seeds):
-        return []
     points = np.empty((len(seeds), max(2 * n, 8), 2))
     normals = np.empty((len(seeds), 2, n, n))
     # the rows go first: zip stops on them without taking a stream past the last
@@ -329,18 +338,12 @@ def random_g1_stack(seeds, n: int, rho_max: float, streams=None) -> list[G1Opera
     spectra *= rho_max
     unitaries = _haar_unitaries(normals)
     matrices = linalg.diag_similarity(unitaries, spectra)
-    d = _validate(matrices, spectra, unitaries).tolist()
-    ops = []
-    for fields in zip(matrices, spectra, unitaries, d):
-        op = object.__new__(G1Operator)  # checked above, by _validate
-        vars(op).update(zip(("matrix", "spectrum", "unitary", "d"), fields), certificate=None)
-        ops.append(op)
-    return ops
+    return G1Stack(matrices, spectra, unitaries, _validate(matrices, spectra, unitaries).tolist())
 
 
 def random_g1(seed: int, n: int, rho_max: float) -> G1Operator:
     """Seed-deterministic normal operator with spectrum in the disk of radius rho_max."""
-    return random_g1_stack((seed,), n, rho_max)[0]
+    return _member(G1Operator, random_g1_stack((seed,), n, rho_max), 0)
 
 
 def _test_points(lam: np.ndarray, circle_samples: int, start: int, stop: int) -> np.ndarray:

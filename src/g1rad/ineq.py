@@ -4,9 +4,9 @@ Each checker computes the left and right sides of one statement on concrete
 matrices and returns an InequalityReport with the tightness ratio lhs/rhs.
 Statements are named by their catalog ids (lemma21a..f, thm22, cor23,
 thm24, rem25, cor26, rem27); variants select the sign or expression form.
-Checkers take their operands as runner or G1Operator built them and
+Checkers take their operands as runner and the samplers built them and
 re-check none of them; only rem25's own hypothesis, a self-adjoint X, is checked.
-f(A) is funcalc.apply_normal_stack's, so every G1Operator must carry its
+f(A) is funcalc.apply_normal_stack's, so every operator must carry its
 diagonalizer. The w() checkers take one trial; the norm checkers cor23,
 rem25 and cor26 take a chunk of trials of one n: one apply_normal_stack call
 gives every f(A) and f(B), and each norm operand takes one spectral_norm
@@ -103,16 +103,9 @@ def _norms(stack: np.ndarray) -> list:
     return linalg.spectral_norm(stack).tolist()
 
 
-def _matrices(ops) -> np.ndarray:
-    return np.array([op.matrix for op in ops])
-
-
-def _f_pairs(fs, opas, opbs) -> tuple:
-    """The f(A) and f(B) stacks of a chunk of two-operator trials, from one
-    apply_normal_stack call."""
-    both = funcalc.apply_normal_stack([f for f in fs for _ in range(2)],
-                                      [op for pair in zip(opas, opbs) for op in pair])
-    return both[0::2], both[1::2]
+def _even_odd(stack) -> tuple:
+    """The A and B members of a stack that holds each trial's A, then its B."""
+    return stack[0::2], stack[1::2]
 
 
 def _by_variant(suite, allowed, variants, seeds, dim, sides) -> list:
@@ -197,17 +190,17 @@ def check_thm22(f: HerglotzFunction, op: G1Operator, x, variant: str,
 
 def check_cor23(fs, ops, variants, seeds) -> list:
     """||Re f(A)|| <= (1/d^2) ||I - A A*||, and ||Im f(A)|| <= (2/d^2) ||A||, on
-    a chunk of trials: f, A, variant and seed are each a sequence over them."""
+    a chunk of trials: f, A, variant and seed are each a stack or list over them."""
     fa = funcalc.apply_normal_stack(fs, ops)
-    a = _matrices(ops)
+    a, d = ops.matrices, ops.d
 
     def sides(variant, idx):
         if variant == "re":
             norms = _norms(np.eye(a.shape[-1]) - a[idx] @ linalg.adjoint(a[idx]))
             return (_norms(linalg.herm_part(fa[idx])),
-                    [(1.0 / ops[i].d**2) * norm for i, norm in zip(idx, norms)])
+                    [(1.0 / d[i]**2) * norm for i, norm in zip(idx, norms)])
         return (_norms(linalg.skew_part(fa[idx])),
-                [(2.0 / ops[i].d**2) * norm for i, norm in zip(idx, _norms(a[idx]))])
+                [(2.0 / d[i]**2) * norm for i, norm in zip(idx, _norms(a[idx]))])
 
     return _by_variant("cor23", ("re", "im"), variants, seeds, a.shape[-1], sides)
 
@@ -215,25 +208,25 @@ def check_cor23(fs, ops, variants, seeds) -> list:
 def check_thm24(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (2/(dA dB)) [2w(X) + w(AXB* + BXA*) + w(AXB* - BXA*)]."""
-    fa, fb = funcalc.apply_normal_stack((f, f), (opa, opb))
+    fa, fb = funcalc.apply_normal(f, opa), funcalc.apply_normal(f, opb)
     lhs = _w(_commutator(fa, fb, x, variant))
     axb, bxa = _cross(opa.matrix, opb.matrix, x)
     rhs = (2.0 / (opa.d * opb.d)) * (2.0 * _w(x) + _w(axb + bxa) + _w(axb - bxa))
     return _report(f"thm24:{variant}", lhs, rhs, seed, len(x))
 
 
-def check_rem25(fs, opas, opbs, xs, variants, seeds) -> list:
-    """Operator-norm form for self-adjoint X, on a chunk of trials (f, A, B, X,
-    variant and seed are each a sequence over them); any X that is not
+def check_rem25(fs, ops, xs, variants, seeds) -> list:
+    """Operator-norm form for self-adjoint X, on a chunk of trials (f, A and B
+    (one stack, A first), X, variant and seed over them); any X that is not
     self-adjoint raises NotSelfAdjoint first:
     ||f(A) X fbar(B) -/+ ...|| <= (4/(dA dB)) max(||X|| + ||AXB*||, ||X|| + ||BXA*||)."""
     x = np.array(xs)
     if not (np.linalg.norm(x - linalg.adjoint(x), axis=(-2, -1)) <= SELFADJOINT_TOL).all():
         raise NotSelfAdjoint("X must be self-adjoint within tolerance")
-    fa, fb = _f_pairs(fs, opas, opbs)
-    axb, bxa = _cross(_matrices(opas), _matrices(opbs), x)
-    rhs = [(4.0 / (opa.d * opb.d)) * max(nx + naxb, nx + nbxa) for opa, opb, nx, naxb, nbxa
-           in zip(opas, opbs, _norms(x), _norms(axb), _norms(bxa))]
+    fa, fb = _even_odd(funcalc.apply_normal_stack(fs, ops))
+    axb, bxa = _cross(*_even_odd(ops.matrices), x)
+    rhs = [(4.0 / (da * db)) * max(nx + naxb, nx + nbxa) for da, db, nx, naxb, nbxa
+           in zip(*_even_odd(ops.d), _norms(x), _norms(axb), _norms(bxa))]
 
     def sides(variant, idx):
         return _norms(_commutator(fa[idx], fb[idx], x[idx], variant)), [rhs[i] for i in idx]
@@ -242,13 +235,14 @@ def check_rem25(fs, opas, opbs, xs, variants, seeds) -> list:
                        x.shape[-1], sides)
 
 
-def check_cor26(fs, opas, opbs, variants, seeds) -> list:
+def check_cor26(fs, ops, variants, seeds) -> list:
     """||Im(f(A) fbar(B))|| and ||Re(f(A) fbar(B)) + I|| <= (2/(dA dB)) (1 + ||AB*||),
-    on a chunk of trials: f, A, B, variant and seed are each a sequence over them."""
-    fa, fb = _f_pairs(fs, opas, opbs)
+    on a chunk of trials: f, A and B (one stack, A first), variant and seed over them."""
+    fa, fb = _even_odd(funcalc.apply_normal_stack(fs, ops))
     product = fa @ linalg.adjoint(fb)
-    rhs = [(2.0 / (opa.d * opb.d)) * (1.0 + norm) for opa, opb, norm
-           in zip(opas, opbs, _norms(_matrices(opas) @ linalg.adjoint(_matrices(opbs))))]
+    a, b = _even_odd(ops.matrices)
+    rhs = [(2.0 / (da * db)) * (1.0 + norm) for da, db, norm
+           in zip(*_even_odd(ops.d), _norms(a @ linalg.adjoint(b)))]
     n = product.shape[-1]
 
     def sides(variant, idx):
@@ -262,7 +256,7 @@ def check_cor26(fs, opas, opbs, variants, seeds) -> list:
 def check_rem27(f: HerglotzFunction, opa: G1Operator, opb: G1Operator, x,
                 variant: str, seed: int = 0) -> InequalityReport:
     """w(f(A) X fbar(B) -/+ ...) <= (4/(dA dB)) (1 + max(||A||^2, ||B||^2)) w(X)."""
-    fa, fb = funcalc.apply_normal_stack((f, f), (opa, opb))
+    fa, fb = funcalc.apply_normal(f, opa), funcalc.apply_normal(f, opb)
     lhs = _w(_commutator(fa, fb, x, variant))
     norm_max = max(_norm(opa.matrix) ** 2, _norm(opb.matrix) ** 2)
     rhs = (4.0 / (opa.d * opb.d)) * (1.0 + norm_max) * _w(x)

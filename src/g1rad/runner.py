@@ -13,11 +13,11 @@ default_rng(seed), and every function and operator has the same bits in any
 chunk, so run_trial alone replays any trial exactly.
 
 The split between chunks and trials is deliberate. The rows that take no
-w() (cor23, rem25 and cor26) are chunked: their checker takes a whole chunk
-in one call. The nine w() suites call their checker once per trial, so that
-every w() goes through wradius.numerical_radius on its own matrix, where
-the benchmark's tracer checks each result against its witness; a stacked
-w() waits until that check covers stacked calls.
+w() (cor23, rem25 and cor26) are chunked: their checker takes a chunk's
+stacks in one call. The nine w() suites call their checker once per trial,
+on views of its function and operators, so that every w() goes through
+wradius.numerical_radius on its own matrix, where the benchmark's tracer
+checks each result against its witness; a stacked w() waits for that.
 """
 
 from __future__ import annotations
@@ -60,33 +60,30 @@ def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def _sub_seed(rng: np.random.Generator) -> int:
-    # int(rng.integers(0, 1 << 62)) from the one raw word it takes: numpy's
+def _sub_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
+    # count draws of int(rng.integers(0, 1 << 62)), one raw word each: numpy's
     # Lemire draw never rejects on a power-of-two range and keeps the top bits
-    return rng.bit_generator.random_raw() >> 2
+    return rng.bit_generator.random_raw(count) >> 2
 
 
-# Each kind of checker input, as drawn from a trial's generator. An "f" and
-# an "op" are drawn as the sub-seeds of their function and G1 operator, which
-# _inputs builds with their chunk.
+# Each other kind of checker input, as drawn from a trial's generator after the
+# sub-seeds of its function ("f") and G1 operators ("op"), which _inputs builds.
 _DRAWS = {
     "ginibre": _ginibre,
     "hermitian": lambda rng, dim: linalg.herm_part(_ginibre(rng, dim)),
     "angle": lambda rng, dim: float(rng.uniform(0.0, 2.0 * np.pi)),
-    "f": lambda rng, dim: _sub_seed(rng),
-    "op": lambda rng, dim: _sub_seed(rng),
 }
 
 
 class Suite(NamedTuple):
     """A catalog statement: its ``ineq`` checker's name, its variants and the
-    kinds of its checker's inputs (keys of _DRAWS), in the checker's argument
-    order, which is also the order a trial draws them in.
+    kinds of its checker's inputs ("f", "op", then keys of _DRAWS), in the
+    checker's argument order, which is also the order a trial draws them in.
 
     A checker takes a trial's inputs, then its variant ("" is none) and seed,
     and returns its report. A ``chunked`` checker takes a chunk of trials:
-    each input as the sequence of its values over the trials, then their
-    variants and seeds, and returns their reports, in order.
+    its inputs as the columns of _inputs, then their variants and seeds, and
+    returns their reports, in order.
     """
 
     checker: str
@@ -210,31 +207,41 @@ def trial_seed(master_seed: int, suite: str, dim: int, trial: int) -> int:
 
 
 def _inputs(config: TrialConfig, suite: str, dim: int, seeds: list) -> list:
-    """The checker inputs of the trials with these derived seeds, each drawn
-    from its seed's stream (g1gen.generators), with the functions and the G1
-    operators of all the trials built and checked as one stack each. One
-    generators call seeds the functions' streams, then the operators', and
-    the two builders take them in turn from it."""
+    """The checker inputs of the trials with these derived seeds, as columns:
+    the stacks of their functions and of their G1 operators (a trial's in
+    turn), then a tuple of each other input. A trial's stream gives its
+    sub-seeds in one raw draw, then the rest; one g1gen.generators call
+    seeds the functions' streams, then the operators', for the builders."""
     kinds = SUITES[suite].inputs
-    inputs = [[_DRAWS[kind](rng, dim) for kind in kinds] for rng in g1gen.generators(seeds)]
-    slots = [[(args, i) for args in inputs for i, k in enumerate(kinds) if k == kind]
-             for kind in ("f", "op")]
-    f_subs, op_subs = ([args[i] for args, i in kind_slots] for kind_slots in slots)
+    lead = kinds.count("f") + kinds.count("op")
+    subs, drawn = np.empty((len(seeds), lead), dtype=np.uint64), []
+    for row, rng in zip(subs, g1gen.generators(seeds)):
+        row[:] = _sub_seeds(rng, lead)
+        drawn.append([_DRAWS[kind](rng, dim) for kind in kinds[lead:]])
+    if not lead:
+        return list(zip(*drawn))
+    f_subs, op_subs = subs[:, 0].tolist(), subs[:, 1:].ravel().tolist()
     streams = g1gen.generators(f_subs + op_subs)
-    built = funcalc.random_herglotz_stack(f_subs, config.atoms, streams) if f_subs else []
-    if op_subs:
-        built += g1gen.random_g1_stack(op_subs, dim, config.rho_max, streams)
-    for (args, i), value in zip(slots[0] + slots[1], built):
-        args[i] = value
-    return inputs
+    return [funcalc.random_herglotz_stack(f_subs, config.atoms, streams),
+            g1gen.random_g1_stack(op_subs, dim, config.rho_max, streams), *zip(*drawn)]
 
 
-def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
-              seeds: list | None = None, inputs: list | None = None
-              ) -> InequalityReport | list:
+def _trial_args(kinds: tuple, columns: list, t: int) -> list:
+    """Trial t's checker inputs from its chunk's columns, its f and ops as views of them."""
+    per = kinds.count("op")
+    if not per:
+        return [column[t] for column in columns]
+    fs, ops, *rest = columns
+    return [g1gen._member(funcalc.HerglotzFunction, fs, t),
+            *(g1gen._member(G1Operator, ops, per * t + i) for i in range(per)),
+            *(column[t] for column in rest)]
+
+
+def run_trial(config: TrialConfig, suite: str, dim: int,
+              trial: int | range) -> InequalityReport | list:
     """The report of one trial, drawn from its derived seed; or, for a range
-    of consecutive trials, their reports. A range may come with the list of
-    its trials' seeds, and with their inputs drawn from those seeds.
+    of consecutive trials, their reports. Each trial's seed is hashed once,
+    for its inputs and its report.
 
     Multi-variant suites rotate their variants with the trial index. A
     chunked row's checker takes the range in one call; any other checker is
@@ -245,17 +252,15 @@ def run_trial(config: TrialConfig, suite: str, dim: int, trial: int | range, *,
         raise ConfigError(f"unknown suite {suite!r}")
     row = SUITES[suite]
     trials = trial if isinstance(trial, range) else range(trial, trial + 1)
-    if seeds is None:
-        seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
-    if inputs is None:
-        inputs = _inputs(config, suite, dim, seeds)
+    seeds = [trial_seed(config.master_seed, suite, dim, t) for t in trials]
+    inputs = _inputs(config, suite, dim, seeds)
     variants = [row.variants[t % len(row.variants)] for t in trials]
     check = getattr(ineq, row.checker)
     if row.chunked:
-        reports = check(*zip(*inputs), variants, seeds)
+        reports = check(*inputs, variants, seeds)
     else:
-        reports = [check(*args, *(variant,) if variant else (), seed=seed)
-                   for args, variant, seed in zip(inputs, variants, seeds)]
+        reports = [check(*_trial_args(row.inputs, inputs, t), *(variant,) if variant else (),
+                         seed=seed) for t, (variant, seed) in enumerate(zip(variants, seeds))]
     return reports if trials is trial else reports[0]
 
 
@@ -270,16 +275,12 @@ def _chunk_size(config: TrialConfig, suite: str, dim: int) -> int:
 
 def _run_cell(config: TrialConfig, suite: str, dim: int) -> list:
     """The reports of every trial of a (suite, dim) cell, one run_trial call
-    per chunk of consecutive trials (_chunk_size). Each trial's seed is hashed
-    once, for its inputs and its report. Only one chunk's inputs are held."""
+    per chunk of consecutive trials (_chunk_size). Only one chunk's inputs
+    are held: run_trial drops them when it returns."""
     size = _chunk_size(config, suite, dim)
     trials, reports = range(config.trials_per_suite), []
     for start in range(0, len(trials), size):
-        chunk = trials[start:start + size]
-        seeds = [trial_seed(config.master_seed, suite, dim, t) for t in chunk]
-        # no name holds a chunk's inputs, so they go before the next chunk is drawn
-        reports += run_trial(config, suite, dim, chunk, seeds=seeds,
-                             inputs=_inputs(config, suite, dim, seeds))
+        reports += run_trial(config, suite, dim, trials[start:start + size])
     return reports
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize_scalar
 
-from g1rad import g1gen, ineq, linalg, runner, wradius
+from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import ConfigError, DimensionMismatch, Singular
 
 
@@ -205,12 +205,32 @@ def certify_pointwise(matrix, spectrum, circle_samples: int = 64) -> float:
     return float(worst)
 
 
+def g1_stack(ops) -> g1gen.G1Stack:
+    """G1Operators of one n as the G1Stack that the norm checkers take; its
+    unitaries are None if one of them carries none."""
+    unitaries = (None if any(op.unitary is None for op in ops)
+                 else np.array([op.unitary for op in ops]))
+    return g1gen.G1Stack(np.array([op.matrix for op in ops]),
+                         np.array([op.spectrum for op in ops]), unitaries,
+                         [op.d for op in ops])
+
+
+def herglotz_stack(fs) -> funcalc.HerglotzStack:
+    """HerglotzFunctions of one atom count as the HerglotzStack that
+    apply_normal_stack and the norm checkers take."""
+    return funcalc.HerglotzStack(*(np.array([getattr(f, name) for f in fs])
+                                   for name in funcalc.HerglotzStack._fields))
+
+
 def check_one(suite: str, *args, seed: int = 0):
     """The report of suite's checker on one trial: args are the trial's
     inputs, then its variant if the suite has one. A chunked checker
-    (runner.SUITES) takes them as a chunk of one."""
+    (runner.SUITES) takes them as a chunk of one: its function and its
+    operators as stacks of one trial, the rest as sequences of one."""
     row = runner.SUITES[suite]
     check = getattr(ineq, row.checker)
     if row.chunked:
-        return check(*([arg] for arg in args), [seed])[0]
+        ops = row.inputs.count("op")
+        columns = [herglotz_stack(args[:1]), g1_stack(args[1:1 + ops])]
+        return check(*columns, *([arg] for arg in args[1 + ops:]), [seed])[0]
     return check(*args, seed=seed)

@@ -139,9 +139,9 @@ def hexes(angles, weights, phases):
 def test_random_herglotz_stack_gives_each_seed_its_function_alone(k, atoms):
     seeds = [7919 * i + atoms for i in range(k)]
     stack = funcalc.random_herglotz_stack(seeds, atoms)
-    assert len(stack) == k
-    for seed, f in zip(seeds, stack):
-        alone = funcalc.random_herglotz(seed, atoms)
+    assert [part.shape for part in stack] == [(k, atoms)] * 3
+    for i, seed in enumerate(seeds):
+        f, alone = g1gen._member(HerglotzFunction, stack, i), funcalc.random_herglotz(seed, atoms)
         assert hexes(f.angles, f.weights, f.phases) == hexes(
             alone.angles, alone.weights, alone.phases) == hexes(*herglotz_one(seed, atoms))
 
@@ -186,7 +186,7 @@ def test_random_herglotz_stack_raises_what_its_first_bad_member_raises_alone(
 def test_random_herglotz_stack_needs_an_atom():
     with pytest.raises(ValueError, match="need k >= 1 atoms"):
         funcalc.random_herglotz_stack([1, 2], 0)
-    assert funcalc.random_herglotz_stack([], 8) == []
+    assert [part.shape for part in funcalc.random_herglotz_stack([], 8)] == [(0, 8)] * 3
 
 
 def test_cached_phases_are_the_atoms():
@@ -213,16 +213,22 @@ def test_apply_normal_scalar_case():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_apply_normal_stack_gives_each_pair_the_bits_of_one_product(n):
     # f(A) of one operator as U diag(f(lambda)) U*, one kernel sum and one
-    # product per pair; at n = 1 a product over a whole stack rounds otherwise
-    ops = g1gen.random_g1_stack(range(50, 61), n, 0.8)
-    fs = [funcalc.random_herglotz(seed, 8) for seed in range(70, 81)]
-    stack = funcalc.apply_normal_stack(fs, ops)
-    for f, op, fa in zip(fs, ops, stack):
-        z = op.spectrum[:, None]
-        values = np.sum(f.weights * (f.phases + z) / (f.phases - z), axis=-1)
-        expected = (op.unitary * values) @ op.unitary.conj().T
-        assert fa.tobytes() == expected.tobytes()
-        assert funcalc.apply_normal(f, op).tobytes() == expected.tobytes()
+    # product per pair; at n = 1 a product over a whole stack rounds
+    # otherwise. With per = 2 each function takes two consecutive operators,
+    # a two-operator trial's A and B: the even and odd members of the stack.
+    fs = funcalc.random_herglotz_stack(range(70, 81), 8)
+    for per in (1, 2):
+        ops = g1gen.random_g1_stack(range(50, 50 + 11 * per), n, 0.8)
+        stack = funcalc.apply_normal_stack(fs, ops)
+        assert stack.shape == (11 * per, n, n)
+        for i, fa in enumerate(stack):
+            f = g1gen._member(HerglotzFunction, fs, i // per)
+            op = g1gen._member(g1gen.G1Operator, ops, i)
+            z = op.spectrum[:, None]
+            values = np.sum(f.weights * (f.phases + z) / (f.phases - z), axis=-1)
+            expected = (op.unitary * values) @ op.unitary.conj().T
+            assert fa.tobytes() == expected.tobytes()
+            assert funcalc.apply_normal(f, op).tobytes() == expected.tobytes()
 
 
 def certified(matrix, spectrum) -> g1gen.G1Operator:

@@ -220,6 +220,11 @@ def _bytes(op):
             for part in (op.matrix, op.spectrum, op.unitary, np.float64(op.d))]
 
 
+def members(ops):
+    """Each operator of a G1Stack, as the G1Operator view that a w() trial takes."""
+    return [g1gen._member(g1gen.G1Operator, ops, i) for i in range(len(ops.d))]
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_random_g1_matches_the_one_operator_oracle(n):
     # n = 1 is the size where numpy rounds U * lambda differently for a stack
@@ -237,8 +242,8 @@ def test_random_g1_stack_has_the_bits_of_one_call_per_seed(n, size):
     # stack draws them from the hashing kernel of g1gen.generators
     seeds = [1000 * n + 37 * i for i in range(size)]
     ops = g1gen.random_g1_stack(seeds, n, 0.7)
-    assert len(ops) == size
-    for seed, op in zip(seeds, ops):
+    assert [len(part) for part in ops] == [size] * 4
+    for seed, op in zip(seeds, members(ops)):
         assert _bytes(op) == _bytes(g1gen.random_g1(seed, n, 0.7))
         assert op.certificate is None and op.dim == n
 
@@ -255,7 +260,7 @@ def test_an_operator_whose_first_round_falls_short_keeps_its_bits(size):
         points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2 * n, 2))
         assert np.count_nonzero((points ** 2).sum(axis=1) <= 1.0) < n
     seeds = [1, 79, 2, 139, 337] + list(range(600, 600 + size - 5))
-    for seed, op in zip(seeds, g1gen.random_g1_stack(seeds, n, 0.8)):
+    for seed, op in zip(seeds, members(g1gen.random_g1_stack(seeds, n, 0.8))):
         assert _bytes(op) == _bytes(g1gen.random_g1(seed, n, 0.8))
         rng = np.random.default_rng(seed)
         spectrum = g1gen._uniform_disk(rng, n)
@@ -265,7 +270,8 @@ def test_an_operator_whose_first_round_falls_short_keeps_its_bits(size):
 
 
 def test_random_g1_stack_of_no_seeds_is_empty():
-    assert g1gen.random_g1_stack([], 3, 0.8) == []
+    stack = g1gen.random_g1_stack([], 3, 0.8)
+    assert [np.shape(part) for part in stack] == [(0, 3, 3), (0, 3), (0, 3, 3), (0,)]
     with pytest.raises(ConfigError):
         g1gen.random_g1_stack([], 3, 1.0)
 
@@ -611,24 +617,24 @@ def _stack(members):
 @pytest.mark.parametrize("slot", [0, 3, 6])
 def test_a_stack_raises_its_faulty_members_own_error(name, fault, slot):
     ops = g1gen.random_g1_stack(range(500, 507), 2, 0.8)
-    members = [(op.matrix, op.spectrum, op.unitary) for op in ops]
-    members[slot] = fault(*members[slot])
-    kind, message = _single_error(*members[slot])
+    trios = list(zip(ops.matrices, ops.spectra, ops.unitaries))
+    trios[slot] = fault(*trios[slot])
+    kind, message = _single_error(*trios[slot])
     with pytest.raises(kind) as exc:
-        g1gen._validate(*_stack(members))
+        g1gen._validate(*_stack(trios))
     assert type(exc.value) is kind and str(exc.value) == message
 
 
 def test_a_stack_raises_the_first_faulty_members_error():
     ops = g1gen.random_g1_stack(range(510, 517), 2, 0.8)
-    members = [(op.matrix, op.spectrum, op.unitary) for op in ops]
+    trios = list(zip(ops.matrices, ops.spectra, ops.unitaries))
     # member 2 fails a later check than member 5 does, but comes first
-    members[2] = _tilted()
-    members[5] = STACK_FAULTS[3][1](*members[5])
+    trios[2] = _tilted()
+    trios[5] = STACK_FAULTS[3][1](*trios[5])
     with pytest.raises(ValueError, match=r"^matrix is not normal within tolerance$"):
-        g1gen._validate(*_stack(members))
-    good = _stack([(op.matrix, op.spectrum, op.unitary) for op in ops])
-    assert g1gen._validate(*good).tolist() == [op.d for op in ops]
+        g1gen._validate(*_stack(trios))
+    good = _stack(zip(ops.matrices, ops.spectra, ops.unitaries))
+    assert g1gen._validate(*good).tolist() == ops.d
 
 
 @pytest.mark.parametrize("slot", [0, 2, 4])

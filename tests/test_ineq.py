@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import check_one
+from oracles import check_one, g1_stack, herglotz_stack
 from g1rad import funcalc, g1gen, ineq, linalg, runner, wradius
 from g1rad.errors import NotSelfAdjoint
 from g1rad.funcalc import HerglotzFunction
@@ -261,10 +261,12 @@ def trial_inputs(suite, n, rng, op=None):
     the G1 operator of its sub-seed."""
     config = runner.TrialConfig()
     kinds = runner.SUITES[suite].inputs
-    args = [runner._DRAWS[kind](rng, n) for kind in kinds]
+    lead = kinds.count("f") + kinds.count("op")
     build = {"f": lambda seed: funcalc.random_herglotz(seed, config.atoms),
              "op": lambda seed: op(n) if op else g1gen.random_g1(seed, n, config.rho_max)}
-    return [build[kind](arg) if kind in build else arg for kind, arg in zip(kinds, args)]
+    subs = runner._sub_seeds(rng, lead).tolist()
+    return ([build[kind](sub) for kind, sub in zip(kinds, subs)]
+            + [runner._DRAWS[kind](rng, n) for kind in kinds[lead:]])
 
 
 @pytest.mark.parametrize("suite", ["thm22", "cor23", "thm24", "rem25", "cor26", "rem27"])
@@ -366,13 +368,29 @@ def test_n1_cor23_im_reaches_its_closed_form_sup(r, phi):
     # side 2r/(1 - r)^2: the sup ratio over the atom's angle is (1 - r)/(1 + r)
     op = scalar_operator(r * np.exp(1j * phi))
     scan = 2000
-    fs = [HerglotzFunction(np.array([2.0 * np.pi * j / scan]), np.array([1.0]))
-          for j in range(scan)]
-    reports = ineq.check_cor23(fs, [op] * scan, ["im"] * scan, list(range(scan)))
+    fs = herglotz_stack([HerglotzFunction(np.array([2.0 * np.pi * j / scan]), np.array([1.0]))
+                         for j in range(scan)])
+    reports = ineq.check_cor23(fs, g1_stack([op] * scan), ["im"] * scan, list(range(scan)))
     sup = (1.0 - r) / (1.0 + r)
     largest = max(report.ratio for report in reports)
     assert largest <= sup * (1.0 + 64 * EPS)
     assert largest >= sup * (1.0 - 1e-4)
+
+
+@pytest.mark.parametrize("r", N1_RADII)
+def test_n1_thm22_diff_reaches_its_closed_form_sup(r):
+    # at n = 1, w(f(A) X - X fbar(A)) = 2 |Im f(lam)| |x| against the right
+    # side (4/d^2) r |x|, so the ratio is |Im f(lam)| (1 - r)^2 / 2r, whose
+    # sup over one atom's angle is (1 - r)/(1 + r), as for cor23:im
+    op = scalar_operator(r * np.exp(2.5j))
+    x = np.array([[0.7 - 0.2j]])
+    scan = 2000
+    ratios = [ineq.check_thm22(HerglotzFunction(np.array([2.0 * np.pi * j / scan]),
+                                                np.array([1.0])), op, x, "diff").ratio
+              for j in range(scan)]
+    sup = (1.0 - r) / (1.0 + r)
+    assert max(ratios) <= sup * (1.0 + 64 * EPS)
+    assert max(ratios) >= sup * (1.0 - 1e-4)
 
 
 # ---------------------------------------------------------------- thm24
@@ -508,7 +526,7 @@ def chunk_columns(suite, n, variants):
     config = runner.TrialConfig(master_seed=9)
     seeds = [runner.trial_seed(9, suite, n, t) for t in range(len(variants))]
     inputs = runner._inputs(config, suite, n, seeds)
-    return (*zip(*inputs), list(variants), list(range(100, 100 + len(variants))))
+    return (*inputs, list(variants), list(range(100, 100 + len(variants))))
 
 
 def test_the_chunk_checkers_are_those_of_the_norm_suites():
@@ -521,8 +539,11 @@ def test_a_chunk_gives_each_trial_its_report_alone(suite, n):
     first, second = runner.SUITES[suite].variants
     args = chunk_columns(suite, n, [second, first, first, second, second, first, second])
     chunk = getattr(ineq, runner.SUITES[suite].checker)(*args)
-    alone = [check_one(suite, *trial[:-1], seed=trial[-1]) for trial in zip(*args)]
-    assert [r.name for r in chunk] == [f"{suite}:{v}" for v in args[-2]]
+    *columns, variants, seeds = args
+    kinds = runner.SUITES[suite].inputs
+    alone = [check_one(suite, *runner._trial_args(kinds, columns, t), variant, seed=seed)
+             for t, (variant, seed) in enumerate(zip(variants, seeds))]
+    assert [r.name for r in chunk] == [f"{suite}:{v}" for v in variants]
     assert chunk == alone
 
 
@@ -548,11 +569,11 @@ def test_one_spectral_norm_call_per_operand_and_none_for_a_variant_no_trial_take
 
 
 def test_a_chunk_raises_not_self_adjoint_for_its_first_failing_x():
-    fs, opas, opbs, xs, variants, seeds = chunk_columns("rem25", 3, ["commutator"] * 4)
+    fs, ops, xs, variants, seeds = chunk_columns("rem25", 3, ["commutator"] * 4)
     xs = list(xs)
     xs[2] = xs[2] + 1e-6j * np.eye(3)
     with pytest.raises(NotSelfAdjoint, match="^X must be self-adjoint within tolerance$"):
-        ineq.check_rem25(fs, opas, opbs, xs, variants, seeds)
+        ineq.check_rem25(fs, ops, xs, variants, seeds)
 
 
 # ---------------------------------------------------------------- rem27

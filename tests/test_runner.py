@@ -198,14 +198,16 @@ def test_chunked_norm_suites_give_each_trial_the_bits_of_run_trial(monkeypatch, 
         assert list(map(bits, batch)) == list(map(bits, alone))
 
 
-@pytest.mark.parametrize("suite", ["cor23", "thm22"])
+@pytest.mark.parametrize("suite", ["cor23", "thm22", "rem25", "cor26"])
 def test_chunks_on_both_sides_of_the_kernel_give_each_trial_the_bits_of_run_trial(
         monkeypatch, suite):
     # a trial alone draws its streams from default_rng; a chunk of at least
-    # g1gen._KERNEL_SEEDS trials draws them from the hashing kernel
+    # g1gen._KERNEL_SEEDS trials draws them from the hashing kernel. A
+    # two-operator row's A and B are the even and odd members of its chunk's
+    # one operator stack; rem25 draws its X after the trial's sub-seeds.
     kernel = g1gen._KERNEL_SEEDS
-    config = runner.TrialConfig(master_seed=31, dims=(1, 3), trials_per_suite=2 * kernel + 1,
-                                suites=(suite,))
+    config = runner.TrialConfig(master_seed=31, dims=(1, 2, 3, 5),
+                                trials_per_suite=2 * kernel + 1, suites=(suite,))
     alone = [bits(runner.run_trial(config, suite, dim, trial)) for dim in config.dims
              for trial in range(config.trials_per_suite)]
     for size in (kernel - 1, kernel, 2 * kernel + 1):
@@ -213,12 +215,8 @@ def test_chunks_on_both_sides_of_the_kernel_give_each_trial_the_bits_of_run_tria
         assert list(map(bits, runner.run_suite(config).details)) == alone
 
 
-def _op_bits(op):
-    return [op.matrix.tobytes(), op.spectrum.tobytes(), op.unitary.tobytes(), op.d]
-
-
-def _f_bits(f):
-    return [f.angles.tobytes(), f.weights.tobytes(), f.phases.tobytes()]
+def _stack_bits(stack):
+    return [np.asarray(part).tobytes() for part in stack]
 
 
 @pytest.mark.parametrize("total", [g1gen._KERNEL_SEEDS + k for k in (-1, 0, 1)])
@@ -231,8 +229,8 @@ def test_one_seeding_pass_builds_what_separate_passes_build(total):
     fs = funcalc.random_herglotz_stack(f_seeds, 8, streams)
     ops = g1gen.random_g1_stack(op_seeds, 8, 0.8, streams)
     assert next(streams, None) is None
-    assert list(map(_f_bits, fs)) == list(map(_f_bits, funcalc.random_herglotz_stack(f_seeds, 8)))
-    assert list(map(_op_bits, ops)) == list(map(_op_bits, g1gen.random_g1_stack(op_seeds, 8, 0.8)))
+    assert _stack_bits(fs) == _stack_bits(funcalc.random_herglotz_stack(f_seeds, 8))
+    assert _stack_bits(ops) == _stack_bits(g1gen.random_g1_stack(op_seeds, 8, 0.8))
 
 
 @pytest.mark.parametrize("build", [
@@ -255,7 +253,7 @@ def test_a_chunks_operators_are_gone_before_the_next_chunk_is_built(monkeypatch)
     def tracking(seeds, n, rho_max, streams=None):
         assert all(ref() is None for ref in refs), "the last chunk's operators are still held"
         ops = build(seeds, n, rho_max, streams)
-        refs[:] = map(weakref.ref, ops)
+        refs[:] = map(weakref.ref, (ops.matrices, ops.spectra, ops.unitaries))
         return ops
 
     monkeypatch.setattr(g1gen, "random_g1_stack", tracking)
@@ -282,15 +280,27 @@ def test_a_cell_holds_one_chunk_of_operators_at_a_time(monkeypatch):
 
 
 def test_sub_seed_is_the_draw_of_integers_below_2_62():
-    # one raw word shifted right by two: numpy's Lemire draw on [0, 2^62)
-    # never rejects and keeps the word's top 62 bits
+    # one raw word a sub-seed, shifted right by two: numpy's Lemire draw on
+    # [0, 2^62) never rejects and keeps the word's top 62 bits. A trial's
+    # sub-seeds come from one call, and its other inputs are drawn after them.
     edges = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**63, 2**64 - 1]
     seeds = edges + np.random.default_rng(89).integers(0, 2**64, 2000, dtype=np.uint64).tolist()
     for seed in seeds:
         raw, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-        subs = [runner._sub_seed(raw) for _ in range(3)]
+        subs = runner._sub_seeds(raw, 3).tolist()
         assert subs == [int(drawn.integers(0, 1 << 62)) for _ in range(3)], seed
         assert all(type(sub) is int for sub in subs)
+        assert raw.standard_normal(2).tobytes() == drawn.standard_normal(2).tobytes()
+
+
+def test_every_row_draws_its_function_then_its_operators_first():
+    # _inputs takes a trial's first sub-seed as its function's and the rest
+    # as its operators', and _trial_args splits the columns the same way
+    for suite, row in runner.SUITES.items():
+        ops = row.inputs.count("op")
+        lead = ("f",) + ("op",) * ops if ops else ()
+        assert row.inputs[:len(lead)] == lead, suite
+        assert not {"f", "op"} & set(row.inputs[len(lead):]), suite
 
 
 def test_trial_seed_is_stable():
